@@ -3,9 +3,11 @@
 Layers:
 
 * :mod:`torsionlab.rings`    -- finite commutative rings from a constructor
-  grammar, ideal arithmetic, prime spectra, local decomposition.
-* :mod:`torsionlab.modules`  -- subquotient modules of A^k and their
-  submodule lattices with memoized colon arithmetic.
+  grammar, ideal arithmetic, prime spectra, local decomposition, and the
+  lattice engine shared by ideals and submodules: indexed sub-objects with
+  memoized sums, meets, products, colons and order, and closures.
+* :mod:`torsionlab.modules`  -- subquotient modules of A^k; their submodule
+  lattices run the rings lattice engine on coset arithmetic.
 * :mod:`torsionlab.filters`  -- Gabriel filters, torsion radicals, closures,
   spectrum partitions, jansian structure, induced filters.
 * :mod:`torsionlab.noether`  -- finiteness certificates, chain stability,

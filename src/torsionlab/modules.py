@@ -2,9 +2,10 @@
 
 A module element is a coset of V inside U, indexed by its minimal vector
 representative; index 0 is always the zero coset.  Submodules of a module
-are plain frozensets of element indices, and :class:`SubmoduleLattice`
-gives every submodule a stable index plus memoized colon/sum arithmetic,
-which is what makes the exhaustive suites cheap.
+are plain frozensets of element indices.  :class:`SubmoduleLattice` runs
+the lattice engine of :mod:`torsionlab.rings` on the module's coset
+arithmetic, which gives every submodule a stable index plus memoized
+colon/sum arithmetic; that is what makes the exhaustive suites cheap.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from .errors import NotASubmodule, RingMismatch, SizeCapExceeded
 from .rings import (
     FiniteRing,
     Ideal,
-    IdealLattice,
+    SubobjectLattice,
+    _subgroup_sum,
     ideal_lattice,
     primitive_idempotents,
 )
@@ -212,7 +214,7 @@ def span(module: FiniteModule, gens: Iterable[int]) -> frozenset:
     for g in gens:
         cyc = _cyclic(module, g)
         if not cyc <= out:
-            out = _index_subgroup_sum(module, out, cyc)
+            out = _subgroup_sum(module.add_elem, out, cyc)
     return out
 
 
@@ -223,16 +225,8 @@ def _cyclic(module: FiniteModule, x: int) -> frozenset:
     return cache[x]
 
 
-def _index_subgroup_sum(module: FiniteModule, u: frozenset, c: frozenset) -> frozenset:
-    res = set(u)
-    for w in sorted(c):
-        if w not in res:
-            res.update(module.add_elem(x, w) for x in u)
-    return frozenset(res)
-
-
-class SubmoduleLattice:
-    """All submodules of a module, with memoized index-level arithmetic.
+class SubmoduleLattice(SubobjectLattice):
+    """All submodules of a module, on the module's coset arithmetic.
 
     Enumeration goes through the primitive-idempotent decomposition of the
     base ring when it splits (submodules are then componentwise sums), and
@@ -241,197 +235,27 @@ class SubmoduleLattice:
 
     def __init__(self, module: FiniteModule):
         self.module = module
-        self.ring_lattice: IdealLattice = ideal_lattice(module.ring)
-        subs = self._enumerate()
-        self.submodules = tuple(
-            sorted(subs, key=lambda s: (len(s), tuple(sorted(s))))
+        super().__init__(
+            module.ring, module.size, module.add_elem, module.scalar,
+            ideal_lattice(module.ring),
         )
-        self.index = {s: i for i, s in enumerate(self.submodules)}
-        self.n = len(self.submodules)
-        self.zero = self.index[frozenset({module.zero})]
-        self.top = self.index[frozenset(module.all_indices())]
-        self._colon_rows: dict[int, tuple[int, ...]] = {}
-        self._pair_colon: dict[tuple[int, int], int] = {}
-        self._min_gens: dict[int, tuple[int, ...]] = {}
-        self._sums: dict[tuple[int, int], int] = {}
-        self._incl_pairs: list[tuple[int, int]] | None = None
-        self._covers: dict[int, tuple[int, ...]] | None = None
-
-    # -- enumeration ---------------------------------------------------------
+        self.submodules = self.sets
 
     def _enumerate(self) -> set[frozenset]:
         module = self.module
         atoms = primitive_idempotents(module.ring)
         if len(atoms) == 1:
-            return self._bfs(frozenset(module.all_indices()))
-        components = []
-        for e in atoms:
-            comp = frozenset(module.scalar(e, m) for m in module.all_indices())
-            components.append(self._bfs(comp))
+            return super()._enumerate()
         partial: list[frozenset] = [frozenset({module.zero})]
-        for comp_subs in components:
-            nxt = []
-            for left in partial:
-                for right in sorted(comp_subs, key=lambda s: (len(s), tuple(sorted(s)))):
-                    nxt.append(
-                        frozenset(
-                            module.add_elem(a, b) for a in left for b in right
-                        )
-                    )
-            partial = nxt
-        return set(partial)
-
-    def _bfs(self, scope: frozenset) -> set[frozenset]:
-        module = self.module
-        cyclics = []
-        seen_c = set()
-        for x in sorted(scope):
-            c = _cyclic(module, x)
-            if c not in seen_c:
-                seen_c.add(c)
-                cyclics.append(c)
-        zero = frozenset({module.zero})
-        found = {zero}
-        work = [zero]
-        while work:
-            u = work.pop()
-            for c in cyclics:
-                if c <= u:
-                    continue
-                v = _index_subgroup_sum(module, u, c)
-                if v not in found:
-                    found.add(v)
-                    work.append(v)
-        return found
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def idx(self, indices: frozenset) -> int:
-        return self.index[indices]
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.submodules[i] <= self.submodules[j]
-
-    def colon_row(self, i: int) -> tuple[int, ...]:
-        """For each module element m, the ring-lattice index of (N_i : m)."""
-        if i not in self._colon_rows:
-            module = self.module
-            ring = module.ring
-            sub = self.submodules[i]
-            row = []
-            for m in module.all_indices():
-                s = frozenset(
-                    a for a in range(ring.size) if module.scalar(a, m) in sub
-                )
-                row.append(self.ring_lattice.index[s])
-            self._colon_rows[i] = tuple(row)
-        return self._colon_rows[i]
-
-    def colon_elem(self, i: int, m: int) -> int:
-        return self.colon_row(i)[m]
-
-    def pair_colon(self, i: int, j: int) -> int:
-        """Ring-lattice index of (N_i : N_j) = {a : N_j*a <= N_i}."""
-        key = (i, j)
-        if key not in self._pair_colon:
-            rl = self.ring_lattice
-            out = rl.unit
-            row = self.colon_row(i)
-            for g in self.min_gens(j):
-                out = rl.inter(out, row[g])
-            self._pair_colon[key] = out
-        return self._pair_colon[key]
-
-    def min_gens(self, i: int) -> tuple[int, ...]:
-        """Greedy minimal generators of N_i (largest span growth, smallest index)."""
-        if i not in self._min_gens:
-            module = self.module
-            target = self.submodules[i]
-            gens: list[int] = []
-            cur = frozenset({module.zero})
-            while cur != target:
-                best_x = -1
-                best_size = 0
-                for x in sorted(target):
-                    if x in cur:
-                        continue
-                    cyc = _cyclic(module, x)
-                    size = len(cur) * len(cyc) // len(cur & cyc)
-                    if size > best_size:
-                        best_size = size
-                        best_x = x
-                gens.append(best_x)
-                cur = _index_subgroup_sum(module, cur, _cyclic(module, best_x))
-            self._min_gens[i] = tuple(gens)
-        return self._min_gens[i]
-
-    def sum(self, i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        if key not in self._sums:
-            self._sums[key] = self.index[
-                _index_subgroup_sum(self.module, self.submodules[key[0]], self.submodules[key[1]])
+        for e in atoms:
+            component = frozenset(module.scalar(e, m) for m in module.all_indices())
+            component_subs = self._join_closure(component)
+            partial = [
+                _subgroup_sum(module.add_elem, left, right)
+                for left in partial
+                for right in component_subs
             ]
-        return self._sums[key]
-
-    def mult_by_ideal(self, i: int, ideal_idx: int) -> int:
-        """Index of N_i * a for a ring-lattice ideal index."""
-        module = self.module
-        ideal = self.ring_lattice.ideals[ideal_idx]
-        out = frozenset({module.zero})
-        for g in self.min_gens(i):
-            piece = frozenset(module.scalar(a, g) for a in ideal.elements)
-            if not piece <= out:
-                out = _index_subgroup_sum(module, out, piece)
-        return self.index[out]
-
-    def inclusion_pairs(self) -> list[tuple[int, int]]:
-        """All (i, j) with N_i <= N_j, including i == j, in index order."""
-        if self._incl_pairs is None:
-            by_size = sorted(range(self.n), key=lambda k: len(self.submodules[k]))
-            pairs = []
-            for i in range(self.n):
-                si = self.submodules[i]
-                for j in by_size:
-                    sj = self.submodules[j]
-                    if len(sj) >= len(si) and si <= sj:
-                        pairs.append((i, j))
-            pairs.sort()
-            self._incl_pairs = pairs
-        return self._incl_pairs
-
-    def covers(self) -> dict[int, tuple[int, ...]]:
-        """Hasse diagram: for each i, the submodules covering it."""
-        if self._covers is None:
-            ups: dict[int, list[int]] = {i: [] for i in range(self.n)}
-            for i, j in self.inclusion_pairs():
-                if i != j:
-                    ups[i].append(j)
-            out = {}
-            for i, above in ups.items():
-                above_set = set(above)
-                covers_i = []
-                for j in above:
-                    if not any(k in above_set and self.leq(k, j) and k != j for k in above):
-                        covers_i.append(j)
-                out[i] = tuple(sorted(covers_i))
-            self._covers = out
-        return self._covers
-
-    def maximal_chains(self) -> list[tuple[int, ...]]:
-        """All maximal chains from the zero submodule to the full module."""
-        covers = self.covers()
-        chains: list[tuple[int, ...]] = []
-        stack = [(self.zero, (self.zero,))]
-        while stack:
-            node, path = stack.pop()
-            ups = covers[node]
-            if not ups:
-                chains.append(path)
-                continue
-            for j in ups:
-                stack.append((j, path + (j,)))
-        chains.sort()
-        return chains
+        return set(partial)
 
 
 def submodule_lattice(module: FiniteModule) -> SubmoduleLattice:

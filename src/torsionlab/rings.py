@@ -8,12 +8,18 @@ downstream is pure table arithmetic.
 
 Derived rings (quotients by an ideal, local factors) reuse the same
 representation but are never parsed from user input.
+
+:class:`SubobjectLattice` is the one lattice engine: it indexes the ideals
+of a ring or the submodules of a module and memoizes their arithmetic
+(sums, meets, products, colons, order) and computes closures from it.  :class:`IdealLattice`
+runs it on the ring tables; :class:`torsionlab.modules.SubmoduleLattice`
+runs it on module coset arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import (
     InvalidModulus,
@@ -369,29 +375,12 @@ def _same_ring(a, b) -> None:
         raise RingMismatch(f"operands over {a.ring.label} and {b.ring.label}")
 
 
-def _additive_span(ring: FiniteRing, seed: Iterable[int]) -> frozenset:
-    """Smallest additive subgroup containing the seed."""
-    span = {ring.zero}
-    for t in sorted(set(seed)):
-        if t in span:
-            continue
-        mult = []
-        x = t
-        while x != ring.zero:
-            mult.append(x)
-            x = ring.add(x, t)
-        for m in mult:
-            if m not in span:
-                span |= {ring.add(s, m) for s in span}
-    return frozenset(span)
-
-
-def _subgroup_sum(ring: FiniteRing, u: frozenset, c: frozenset) -> frozenset:
-    """Sum of two additive subgroups, built as a union of u-cosets."""
+def _subgroup_sum(add, u: frozenset, c: frozenset) -> frozenset:
+    """Sum of two additive subgroups under ``add``, built as a union of u-cosets."""
     res = set(u)
     for w in sorted(c):
         if w not in res:
-            res.update(ring.add(x, w) for x in u)
+            res.update(add(x, w) for x in u)
     return frozenset(res)
 
 
@@ -410,12 +399,10 @@ def is_ideal(ring: FiniteRing, elems: frozenset) -> bool:
 
 def ideal_from_generators(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     """Smallest ideal containing the given elements."""
-    gens = list(gens)
+    out = frozenset({ring.zero})
     for g in gens:
-        if not (0 <= g < ring.size):
-            raise ValueError(f"{g} is not an element of {ring.label}")
-    seed = {ring.mul(r, g) for g in gens for r in range(ring.size)}
-    return Ideal(ring, _additive_span(ring, seed))
+        out = _subgroup_sum(ring.add, out, principal_ideal(ring, g).elements)
+    return Ideal(ring, out)
 
 
 def zero_ideal(ring: FiniteRing) -> Ideal:
@@ -429,21 +416,22 @@ def unit_ideal(ring: FiniteRing) -> Ideal:
 def principal_ideal(ring: FiniteRing, x: int) -> Ideal:
     cache = ring._cache.setdefault("principal", {})
     if x not in cache:
-        cache[x] = ideal_from_generators(ring, [x])
+        if not (0 <= x < ring.size):
+            raise ValueError(f"{x} is not an element of {ring.label}")
+        cache[x] = Ideal(ring, ideal_lattice(ring).cyclic(x))
     return cache[x]
 
 
 def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
     _same_ring(i, j)
     r = i.ring
-    return Ideal(r, frozenset(r.add(a, b) for a in i.elements for b in j.elements))
+    return Ideal(r, _subgroup_sum(r.add, i.elements, j.elements))
 
 
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
     _same_ring(i, j)
-    r = i.ring
-    seed = {r.mul(a, b) for a in i.elements for b in j.elements}
-    return Ideal(r, _additive_span(r, seed))
+    lat = ideal_lattice(i.ring)
+    return lat.ideals[lat.prod(lat.idx(i), lat.idx(j))]
 
 
 def ideal_intersect(i: Ideal, j: Ideal) -> Ideal:
@@ -475,32 +463,7 @@ def annihilator(i: Ideal) -> Ideal:
 
 def enumerate_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
     """All ideals, sorted by cardinality then lexicographic element order."""
-    if "ideals" in ring._cache:
-        return ring._cache["ideals"]
-    principal_sets = []
-    seen_p = set()
-    for x in range(ring.size):
-        p = principal_ideal(ring, x).elements
-        if p not in seen_p:
-            seen_p.add(p)
-            principal_sets.append(p)
-    zero = frozenset({ring.zero})
-    found = {zero}
-    work = [zero]
-    while work:
-        u = work.pop()
-        for c in principal_sets:
-            if c <= u:
-                continue
-            v = _subgroup_sum(ring, u, c)
-            if v not in found:
-                found.add(v)
-                work.append(v)
-    ideals = tuple(
-        Ideal(ring, s) for s in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-    )
-    ring._cache["ideals"] = ideals
-    return ideals
+    return ideal_lattice(ring).ideals
 
 
 def prime_spectrum(ring: FiniteRing) -> tuple[Ideal, ...]:
@@ -529,28 +492,8 @@ def prime_spectrum(ring: FiniteRing) -> tuple[Ideal, ...]:
 
 def minimal_generators(ideal: Ideal) -> tuple[int, ...]:
     """Greedy minimal generating set: grow the span fastest, ties to smallest index."""
-    ring = ideal.ring
-    cache = ring._cache.setdefault("min_gens", {})
-    if ideal.elements in cache:
-        return cache[ideal.elements]
-    gens: list[int] = []
-    span = frozenset({ring.zero})
-    while span != ideal.elements:
-        best_x = -1
-        best_size = 0
-        for x in sorted(ideal.elements):
-            if x in span:
-                continue
-            px = principal_ideal(ring, x).elements
-            size = len(span) * len(px) // len(span & px)
-            if size > best_size:
-                best_size = size
-                best_x = x
-        gens.append(best_x)
-        span = _subgroup_sum(ring, span, principal_ideal(ring, best_x).elements)
-    out = tuple(gens)
-    cache[ideal.elements] = out
-    return out
+    lat = ideal_lattice(ideal.ring)
+    return lat.min_gens(lat.idx(ideal))
 
 
 # ---------------------------------------------------------------------------
@@ -698,89 +641,223 @@ def localize_at_prime(ring: FiniteRing, p: Ideal) -> tuple[FiniteRing, RingMap]:
 
 
 # ---------------------------------------------------------------------------
-# Cached ideal-lattice arithmetic
+# Index-level lattices of ideals and submodules
 # ---------------------------------------------------------------------------
 
 
-class IdealLattice:
-    """Index-level view of the full ideal lattice, with memoized arithmetic.
+class SubobjectLattice:
+    """Every sub-object of a finite carrier, indexed, with memoized arithmetic.
 
-    Every exhaustive sweep goes through this: ideals get stable indices and
-    sums/products/intersections/colons become index lookups.
+    The carrier has elements 0..size-1 with zero at 0, an addition
+    ``add(x, y)`` and a ring action ``scalar(a, x)``.  Its sub-objects (the
+    ideals of a ring, the submodules of a module) are the additive
+    subgroups closed under the action.  They get stable indices, ordered by
+    cardinality and then by sorted elements, and sums, meets, products with
+    ideals and colons become memoized index lookups; closures are read off
+    the memoized colon rows.  Colons are ideals, indexed in
+    ``ring_lattice``, the ideal lattice of the base ring.
     """
 
-    def __init__(self, ring: FiniteRing):
+    def __init__(self, ring: FiniteRing, size: int, add, scalar, ring_lattice: "IdealLattice"):
         self.ring = ring
-        self.ideals = enumerate_ideals(ring)
-        self.n = len(self.ideals)
-        self.index = {ideal.elements: i for i, ideal in enumerate(self.ideals)}
-        self.zero = self.index[frozenset({ring.zero})]
-        self.unit = self.index[frozenset(range(ring.size))]
+        self.size = size
+        self._add = add
+        self._scalar = scalar
+        self.ring_lattice = ring_lattice
+        self._cyclics: dict[int, frozenset] = {}
+        self.sets = tuple(sorted(self._enumerate(), key=lambda s: (len(s), tuple(sorted(s)))))
+        self.index = {s: i for i, s in enumerate(self.sets)}
+        self.n = len(self.sets)
+        self.zero = self.index[frozenset({0})]
+        self.top = self.index[frozenset(range(size))]
         self._colon_rows: dict[int, tuple[int, ...]] = {}
+        self._pair_colon: dict[tuple[int, int], int] = {}
+        self._min_gens: dict[int, tuple[int, ...]] = {}
+        self._sum: dict[tuple[int, int], int] = {}
         self._inter: dict[tuple[int, int], int] = {}
         self._prod: dict[tuple[int, int], int] = {}
-        self._sum: dict[tuple[int, int], int] = {}
-        self._colon: dict[tuple[int, int], int] = {}
+        self._upsets: dict[int, tuple[int, ...]] = {}
+        self._incl_pairs: list[tuple[int, int]] | None = None
+        self._covers: dict[int, tuple[int, ...]] | None = None
 
-    def idx(self, ideal: Ideal) -> int:
-        return self.index[ideal.elements]
+    # -- enumeration ---------------------------------------------------------
+
+    def _enumerate(self) -> set[frozenset]:
+        return self._join_closure(range(self.size))
+
+    def _join_closure(self, scope: Iterable[int]) -> set[frozenset]:
+        """Every sub-object generated inside scope: all joins of its cyclic ones."""
+        cyclics = list(dict.fromkeys(self.cyclic(x) for x in sorted(scope)))
+        zero = frozenset({0})
+        found = {zero}
+        work = [zero]
+        while work:
+            u = work.pop()
+            for c in cyclics:
+                if c <= u:
+                    continue
+                v = _subgroup_sum(self._add, u, c)
+                if v not in found:
+                    found.add(v)
+                    work.append(v)
+        return found
+
+    def cyclic(self, x: int) -> frozenset:
+        """The sub-object generated by one element: its orbit under the ring."""
+        if x not in self._cyclics:
+            self._cyclics[x] = frozenset(self._scalar(a, x) for a in range(self.ring.size))
+        return self._cyclics[x]
+
+    # -- order ---------------------------------------------------------------
+
+    def idx(self, s: frozenset) -> int:
+        return self.index[s]
 
     def leq(self, i: int, j: int) -> bool:
-        return self.ideals[i].elements <= self.ideals[j].elements
+        return self.sets[i] <= self.sets[j]
 
     def upset(self, i: int) -> tuple[int, ...]:
-        cache = self.ring._cache.setdefault("lattice_upsets", {})
-        if i not in cache:
-            cache[i] = tuple(j for j in range(self.n) if self.leq(i, j))
-        return cache[i]
+        """Indices of the sub-objects containing N_i, ascending; i comes first."""
+        if i not in self._upsets:
+            s = self.sets[i]
+            self._upsets[i] = tuple(j for j in range(i, self.n) if s <= self.sets[j])
+        return self._upsets[i]
 
-    def colon_row(self, i: int) -> tuple[int, ...]:
-        if i not in self._colon_rows:
-            ideal = self.ideals[i]
-            ring = self.ring
-            row = []
-            for x in range(ring.size):
-                s = frozenset(a for a in range(ring.size) if ring.mul(a, x) in ideal.elements)
-                row.append(self.index[s])
-            self._colon_rows[i] = tuple(row)
-        return self._colon_rows[i]
+    def maximal(self, family: Collection[int]) -> list[int]:
+        """The members of a family of indices that no other member contains."""
+        fam = set(family)
+        return [i for i in family if fam.isdisjoint(self.upset(i)[1:])]
 
-    def colon_elem(self, i: int, x: int) -> int:
-        return self.colon_row(i)[x]
+    def inclusion_pairs(self) -> list[tuple[int, int]]:
+        """All (i, j) with N_i <= N_j, including i == j, in index order."""
+        if self._incl_pairs is None:
+            self._incl_pairs = [(i, j) for i in range(self.n) for j in self.upset(i)]
+        return self._incl_pairs
 
-    def colon(self, i: int, j: int) -> int:
-        key = (i, j)
-        if key not in self._colon:
-            out = self.unit
-            for g in minimal_generators(self.ideals[j]):
-                out = self.inter(out, self.colon_elem(i, g))
-            self._colon[key] = out
-        return self._colon[key]
+    def covers(self) -> dict[int, tuple[int, ...]]:
+        """Hasse diagram: for each i, the sub-objects covering it."""
+        if self._covers is None:
+            out = {}
+            for i in range(self.n):
+                above = self.upset(i)[1:]
+                # a sub-object strictly below j has a smaller index than j
+                out[i] = tuple(
+                    j for pos, j in enumerate(above)
+                    if not any(self.leq(k, j) for k in above[:pos])
+                )
+            self._covers = out
+        return self._covers
 
-    def ann(self, x: int) -> int:
-        return self.colon_elem(self.zero, x)
+    def maximal_chains(self) -> list[tuple[int, ...]]:
+        """All maximal chains from the zero sub-object to the whole carrier."""
+        covers = self.covers()
+        chains: list[tuple[int, ...]] = []
+        stack = [(self.zero, (self.zero,))]
+        while stack:
+            node, path = stack.pop()
+            ups = covers[node]
+            if not ups:
+                chains.append(path)
+                continue
+            for j in ups:
+                stack.append((j, path + (j,)))
+        chains.sort()
+        return chains
 
-    def inter(self, i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        if key not in self._inter:
-            self._inter[key] = self.index[
-                self.ideals[i].elements & self.ideals[j].elements
-            ]
-        return self._inter[key]
+    # -- arithmetic ----------------------------------------------------------
+
+    def min_gens(self, i: int) -> tuple[int, ...]:
+        """Greedy minimal generators of N_i (largest span growth, smallest index)."""
+        if i not in self._min_gens:
+            target = self.sets[i]
+            gens: list[int] = []
+            cur = frozenset({0})
+            while cur != target:
+                best_x = -1
+                best_size = 0
+                for x in sorted(target):
+                    if x in cur:
+                        continue
+                    cyc = self.cyclic(x)
+                    size = len(cur) * len(cyc) // len(cur & cyc)
+                    if size > best_size:
+                        best_size = size
+                        best_x = x
+                gens.append(best_x)
+                cur = _subgroup_sum(self._add, cur, self.cyclic(best_x))
+            self._min_gens[i] = tuple(gens)
+        return self._min_gens[i]
 
     def sum(self, i: int, j: int) -> int:
         key = (i, j) if i <= j else (j, i)
         if key not in self._sum:
-            self._sum[key] = self.index[ideal_sum(self.ideals[i], self.ideals[j]).elements]
+            self._sum[key] = self.index[
+                _subgroup_sum(self._add, self.sets[key[0]], self.sets[key[1]])
+            ]
         return self._sum[key]
 
-    def prod(self, i: int, j: int) -> int:
+    def inter(self, i: int, j: int) -> int:
         key = (i, j) if i <= j else (j, i)
+        if key not in self._inter:
+            self._inter[key] = self.index[self.sets[i] & self.sets[j]]
+        return self._inter[key]
+
+    def prod(self, i: int, a: int) -> int:
+        """Index of N_i * a for a ring-lattice ideal index a."""
+        key = (i, a)
         if key not in self._prod:
-            self._prod[key] = self.index[
-                ideal_product(self.ideals[i], self.ideals[j]).elements
-            ]
+            ideal = self.ring_lattice.sets[a]
+            out = frozenset({0})
+            for g in self.min_gens(i):
+                piece = frozenset(self._scalar(b, g) for b in ideal)
+                if not piece <= out:
+                    out = _subgroup_sum(self._add, out, piece)
+            self._prod[key] = self.index[out]
         return self._prod[key]
+
+    def colon_row(self, i: int) -> tuple[int, ...]:
+        """For each carrier element x, the ring-lattice index of (N_i : x)."""
+        if i not in self._colon_rows:
+            sub = self.sets[i]
+            scalar = self._scalar
+            ring_elems = range(self.ring.size)
+            ring_index = self.ring_lattice.index
+            self._colon_rows[i] = tuple(
+                ring_index[frozenset(a for a in ring_elems if scalar(a, x) in sub)]
+                for x in range(self.size)
+            )
+        return self._colon_rows[i]
+
+    def pair_colon(self, i: int, j: int) -> int:
+        """Ring-lattice index of (N_i : N_j) = {a : N_j*a <= N_i}."""
+        key = (i, j)
+        if key not in self._pair_colon:
+            rl = self.ring_lattice
+            out = rl.top
+            row = self.colon_row(i)
+            for g in self.min_gens(j):
+                out = rl.inter(out, row[g])
+            self._pair_colon[key] = out
+        return self._pair_colon[key]
+
+    def closure(self, i: int, members: frozenset) -> int:
+        """Index of the closure {x : (N_i : x) in the filter} of N_i.
+
+        The filter is given by the ring-lattice indices of its members.
+        """
+        row = self.colon_row(i)
+        return self.index[frozenset(x for x in range(self.size) if row[x] in members)]
+
+
+class IdealLattice(SubobjectLattice):
+    """The ideals of a ring, on the ring's own addition and multiplication."""
+
+    def __init__(self, ring: FiniteRing):
+        super().__init__(ring, ring.size, ring.add, ring.mul, self)
+        self.ideals = tuple(Ideal(ring, s) for s in self.sets)
+
+    def idx(self, ideal: Ideal) -> int:
+        return self.index[ideal.elements]
 
 
 def ideal_lattice(ring: FiniteRing) -> IdealLattice:

@@ -93,3 +93,26 @@ def gabriel_filters_by_subset_scan(ring: FiniteRing, ideals: list[Ideal]) -> lis
         if ok:
             out.append(frozenset(member_set))
     return out
+
+
+def closure_by_scan(ring: FiniteRing, ideal: frozenset, member_sets: set) -> frozenset:
+    """Every x whose colon (ideal : x) is a filter member, by raw table scans."""
+    return frozenset(
+        x for x in range(ring.size)
+        if colon_by_scan(ring, ideal, frozenset({x})) in member_sets
+    )
+
+
+def maximal_by_scan(family: list[frozenset]) -> list[frozenset]:
+    """Members of the family properly contained in no other member."""
+    return [s for s in family if not any(s < t for t in family)]
+
+
+def additive_closure_by_scan(ring: FiniteRing, seed: set) -> frozenset:
+    """Add pairs of elements until nothing new appears."""
+    out = set(seed) | {ring.zero}
+    while True:
+        more = {ring.add(a, b) for a in out for b in out} - out
+        if not more:
+            return frozenset(out)
+        out |= more

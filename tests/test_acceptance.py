@@ -248,15 +248,21 @@ def test_criterion_10_suite_determinism(tmp_path):
     pythonpath = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH", "")) if p
     )
-    outputs = []
-    for seed in ("1", "2"):
-        proc = subprocess.run(
+    # both children run at once; each is waited for before any assertion
+    procs = [
+        subprocess.Popen(
             [sys.executable, "-m", "torsionlab.cli", "suite", "--spec", str(spec)],
-            capture_output=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
             env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath},
         )
-        assert proc.returncode == 0, proc.stderr.decode()
-        outputs.append(proc.stdout)
+        for seed in ("1", "2")
+    ]
+    results = [proc.communicate() for proc in procs]
+    outputs = []
+    for proc, (stdout, stderr) in zip(procs, results):
+        assert proc.returncode == 0, stderr.decode()
+        outputs.append(stdout)
     report = json.loads(outputs[0])
     ok = outputs[0] == outputs[1]
     ok = ok and report["results"]["all_passed"] is True

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from torsionlab.errors import NotASubmodule, RingMismatch
+from torsionlab.filters import enumerate_gabriel_filters
 from torsionlab.modules import (
     element_annihilator,
     free_module,
@@ -15,11 +16,17 @@ from torsionlab.modules import (
     submodule_lattice,
 )
 from torsionlab.rings import (
+    build_ring,
     enumerate_ideals,
     ideal_from_generators,
+    ideal_lattice,
+    minimal_generators,
     product_ring,
+    ring_catalog,
     zmod,
 )
+
+from .helpers import additive_closure_by_scan, closure_by_scan, maximal_by_scan
 
 
 @pytest.fixture(scope="module")
@@ -78,11 +85,46 @@ def test_span(z12):
     assert span(m, [4, 6]) == frozenset({0, 2, 4, 6, 8, 10})
 
 
-def test_lattice_rank_one_matches_ideals(z12):
-    lat = submodule_lattice(free_module(z12, 1))
-    ideal_sets = {i.elements for i in enumerate_ideals(z12)}
-    assert {s for s in lat.submodules} == ideal_sets
-    assert lat.n == 6
+def test_lattice_rank_one_matches_ideals():
+    # The rank-1 coset index is the element index, so the ideal lattice (ring
+    # tables) and the submodule lattice of A (coset arithmetic) must agree
+    # index for index on every operation of the shared engine.
+    for term in ring_catalog(12):
+        ring = build_ring(term)
+        rl = ideal_lattice(ring)
+        lat = submodule_lattice(free_module(ring, 1))
+        assert lat.ring_lattice is rl
+        assert lat.submodules == rl.sets
+        assert [i.elements for i in enumerate_ideals(ring)] == list(rl.sets)
+        n = rl.n
+        assert [lat.upset(i) for i in range(n)] == [rl.upset(i) for i in range(n)]
+        assert lat.inclusion_pairs() == rl.inclusion_pairs()
+        assert lat.covers() == rl.covers()
+        for i in range(n):
+            assert lat.colon_row(i) == rl.colon_row(i)
+            assert lat.min_gens(i) == rl.min_gens(i) == minimal_generators(rl.ideals[i])
+            for j in range(n):
+                assert lat.pair_colon(i, j) == rl.pair_colon(i, j)
+                assert lat.sum(i, j) == rl.sum(i, j)
+                assert lat.prod(i, j) == rl.prod(i, j)
+                si, sj = rl.sets[i], rl.sets[j]
+                assert rl.sets[rl.sum(i, j)] == additive_closure_by_scan(ring, si | sj)
+                products = {ring.mul(a, b) for a in si for b in sj}
+                assert rl.sets[rl.prod(i, j)] == additive_closure_by_scan(ring, products)
+        families = [list(range(n)), [i for i in range(n) if i != rl.top]]
+        families += [[j for j in range(n) if not rl.leq(i, j)] for i in range(n)]
+        for fam in families:
+            assert lat.maximal(fam) == rl.maximal(fam)
+            by_scan = maximal_by_scan([rl.sets[i] for i in fam])
+            assert [rl.sets[i] for i in rl.maximal(fam)] == by_scan
+        for sigma in enumerate_gabriel_filters(ring):
+            members = sigma.member_indices()
+            member_sets = {a.elements for a in sigma.members}
+            for i in range(n):
+                assert lat.closure(i, members) == rl.closure(i, members)
+                by_scan = closure_by_scan(ring, rl.sets[i], member_sets)
+                assert rl.sets[rl.closure(i, members)] == by_scan
+    assert submodule_lattice(free_module(zmod(12), 1)).n == 6
 
 
 def test_lattice_rank_one_product_ring():
@@ -131,7 +173,7 @@ def test_mult_by_ideal(z12):
     rl = lat.ring_lattice
     i2 = lat.idx(frozenset({0, 2, 4, 6, 8, 10}))
     i3 = rl.index[frozenset({0, 3, 6, 9})]
-    assert lat.submodules[lat.mult_by_ideal(i2, i3)] == frozenset({0, 6})
+    assert lat.submodules[lat.prod(i2, i3)] == frozenset({0, 6})
 
 
 def test_inclusion_pairs_and_chains(z12):
