@@ -5,9 +5,11 @@ Layers:
 * :mod:`torsionlab.rings`    -- finite commutative rings from a constructor
   grammar, ideal arithmetic, prime spectra, local decomposition, and the
   lattice engine shared by ideals and submodules: indexed sub-objects with
-  memoized sums, meets, products, colons and order, and closures.
+  memoized sums, meets, products, colons and order, and closures, all read
+  from addition and orbit rows.
 * :mod:`torsionlab.modules`  -- subquotient modules of A^k; their submodule
-  lattices run the rings lattice engine on coset arithmetic.
+  lattices run the rings lattice engine on addition and orbit rows that
+  each module builds from its coset arithmetic on first read.
 * :mod:`torsionlab.filters`  -- Gabriel filters, torsion radicals, closures,
   spectrum partitions, jansian structure, induced filters.
 * :mod:`torsionlab.noether`  -- finiteness certificates, chain stability,

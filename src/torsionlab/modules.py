@@ -3,13 +3,19 @@
 A module element is a coset of V inside U, indexed by its minimal vector
 representative; index 0 is always the zero coset.  Submodules of a module
 are plain frozensets of element indices.  :class:`SubmoduleLattice` runs
-the lattice engine of :mod:`torsionlab.rings` on the module's coset
-arithmetic, which gives every submodule a stable index plus memoized
-colon/sum arithmetic; that is what makes the exhaustive suites cheap.
+the lattice engine of :mod:`torsionlab.rings` on the module's addition and
+orbit rows, which gives every submodule a stable index plus memoized
+colon/sum arithmetic; that is what makes the exhaustive suites cheap.  A
+module builds each row from its coset arithmetic the first time the engine
+reads it, so memory and build time follow the rows a lattice touches, not
+the square of the carrier size.  Element-level code (``add_elem``,
+``scalar``, :func:`is_submodule`) builds no rows.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import getitem
 from typing import Iterable
 
 from .errors import NotASubmodule, RingMismatch, SizeCapExceeded
@@ -27,8 +33,25 @@ FREE_CARRIER_CAP = 4096
 Vector = tuple
 
 
+class _Rows(dict):
+    """Table rows keyed by element index, each built on its first read."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key: int) -> list[int]:
+        row = self[key] = self._build(key)
+        return row
+
+
 class FiniteModule:
-    """Subquotient U/V of A^k with exact coset arithmetic."""
+    """Subquotient U/V of A^k with exact coset arithmetic.
+
+    ``add_rows[w][x]`` is the index of x + w and ``orbit_rows[x][a]`` the
+    index of a*x; both are the lattice engine's tables, built row by row on
+    first read.
+    """
 
     def __init__(
         self,
@@ -61,11 +84,25 @@ class FiniteModule:
             for member in coset:
                 coset_of[member] = idx
         self.elements = tuple(cosets)
-        self.reps = tuple(min(c) for c in cosets)
+        self.reps = reps = tuple(min(c) for c in cosets)
         self._coset_of = coset_of
         self.size = len(cosets)
         self.zero = 0
         self._cache: dict = {}
+        ring_add, ring_mul = ring._add, ring._mul
+
+        def add_row(w: int) -> list[int]:
+            cols = [ring_add[c] for c in reps[w]]
+            return [coset_of[tuple(map(getitem, cols, rep))] for rep in reps]
+
+        def orbit_row(x: int) -> list[int]:
+            # ring_mul[c][a] is a*c, so the columns zip into the vectors a*x;
+            # A^0 has no columns and its one vector is ()
+            cols = [ring_mul[c] for c in reps[x]]
+            return [coset_of[v] for v in (zip(*cols) if cols else repeat((), ring.size))]
+
+        self.add_rows = _Rows(add_row)
+        self.orbit_rows = _Rows(orbit_row)
 
     def add_elem(self, i: int, j: int) -> int:
         return self._coset_of[_vec_add(self.ring, self.reps[i], self.reps[j])]
@@ -212,21 +249,14 @@ def span(module: FiniteModule, gens: Iterable[int]) -> frozenset:
     """Submodule generated by the given element indices."""
     out = frozenset({module.zero})
     for g in gens:
-        cyc = _cyclic(module, g)
+        cyc = frozenset(module.orbit_rows[g])
         if not cyc <= out:
-            out = _subgroup_sum(module.add_elem, out, cyc)
+            out = _subgroup_sum(module.add_rows, out, cyc)
     return out
 
 
-def _cyclic(module: FiniteModule, x: int) -> frozenset:
-    cache = module._cache.setdefault("cyclic", {})
-    if x not in cache:
-        cache[x] = frozenset(module.scalar(a, x) for a in range(module.ring.size))
-    return cache[x]
-
-
 class SubmoduleLattice(SubobjectLattice):
-    """All submodules of a module, on the module's coset arithmetic.
+    """All submodules of a module, on the module's addition and orbit rows.
 
     Enumeration goes through the primitive-idempotent decomposition of the
     base ring when it splits (submodules are then componentwise sums), and
@@ -236,7 +266,7 @@ class SubmoduleLattice(SubobjectLattice):
     def __init__(self, module: FiniteModule):
         self.module = module
         super().__init__(
-            module.ring, module.size, module.add_elem, module.scalar,
+            module.ring, module.size, module.add_rows, module.orbit_rows,
             ideal_lattice(module.ring),
         )
         self.submodules = self.sets
@@ -247,11 +277,12 @@ class SubmoduleLattice(SubobjectLattice):
         if len(atoms) == 1:
             return super()._enumerate()
         partial: list[frozenset] = [frozenset({module.zero})]
+        orbit = self._orbit
         for e in atoms:
-            component = frozenset(module.scalar(e, m) for m in module.all_indices())
+            component = frozenset(orbit[m][e] for m in module.all_indices())
             component_subs = self._join_closure(component)
             partial = [
-                _subgroup_sum(module.add_elem, left, right)
+                _subgroup_sum(self._add, left, right)
                 for left in partial
                 for right in component_subs
             ]

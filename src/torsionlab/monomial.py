@@ -337,18 +337,31 @@ def saturation(ideal: MonomialIdeal, mult_set: PrincipalMultSet) -> MonomialIdea
 
     For monomial data this is exact exponent surgery: zero the s-supported
     exponents of every generator; a family whose tail meets supp(s)
-    collapses to its zeroed base.
+    collapses to its zeroed base.  A collapsed base can mention a variable
+    at or past another family's start; that family's leading instances
+    then become finite generators, so the result keeps the fresh-tail
+    discipline and the ideal is unchanged.
     """
     ideal.validate()
     s_vars = mult_set.s.support
     gens = [g.drop_support(s_vars) for g in ideal.gens]
-    families = []
+    tails = []
     for fam in ideal.families:
         zeroed = fam.base.drop_support(s_vars)
         if any(fam.aligned(v) for v in s_vars):
             gens.append(zeroed)
         else:
-            families.append(TailFamily(zeroed, fam.start, fam.step, fam.exponent))
+            tails.append(TailFamily(zeroed, fam.start, fam.step, fam.exponent))
+    # a peeled instance never mentions a variable past finite_max, so one
+    # pass leaves every start beyond every finite variable
+    finite_max = max((g.max_var() for g in gens), default=0)
+    families = []
+    for fam in tails:
+        start = fam.start
+        while start <= finite_max:
+            gens.append(fam.instance(start))
+            start += fam.step
+        families.append(TailFamily(fam.base, start, fam.step, fam.exponent))
     return monomial_ideal(gens, families)
 
 

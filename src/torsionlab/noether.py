@@ -303,11 +303,10 @@ def quotient_transfer_check(
             f"T is not totally torsion: annihilator {rl.ideals[ann].label} "
             f"outside {sigma.label}"
         )
+    plus_t = [lat.sum(i, t_idx) for i in range(lat.n)]
     for n_idx, m_idx in lat.inclusion_pairs():
         h = lat.pair_colon(n_idx, m_idx)
-        nt = lat.sum(n_idx, t_idx)
-        mt = lat.sum(m_idx, t_idx)
-        h_bar = lat.pair_colon(nt, mt)
+        h_bar = lat.pair_colon(plus_t[n_idx], plus_t[m_idx])
         if h in members:
             if not (rl.leq(h, h_bar) and h_bar in members):
                 return False

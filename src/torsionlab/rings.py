@@ -11,14 +11,18 @@ representation but are never parsed from user input.
 
 :class:`SubobjectLattice` is the one lattice engine: it indexes the ideals
 of a ring or the submodules of a module and memoizes their arithmetic
-(sums, meets, products, colons, order) and computes closures from it.  :class:`IdealLattice`
-runs it on the ring tables; :class:`torsionlab.modules.SubmoduleLattice`
-runs it on module coset arithmetic.
+(sums, meets, products, colons, order) and computes closures from it.  It
+reads two tables of the carrier, addition rows and orbit rows, and never
+calls element arithmetic.  :class:`IdealLattice` runs it on the ring's own
+addition and multiplication tables; :class:`torsionlab.modules.SubmoduleLattice`
+runs it on module rows, which the module builds from its coset arithmetic
+the first time the engine reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Collection, Iterable, Sequence
 
 from .errors import (
@@ -376,11 +380,15 @@ def _same_ring(a, b) -> None:
 
 
 def _subgroup_sum(add, u: frozenset, c: frozenset) -> frozenset:
-    """Sum of two additive subgroups under ``add``, built as a union of u-cosets."""
+    """Sum of two additive subgroups, built as a union of u-cosets.
+
+    ``add[w][x]`` is x + w; only the rows of the coset representatives
+    drawn from c are read.
+    """
     res = set(u)
     for w in sorted(c):
         if w not in res:
-            res.update(add(x, w) for x in u)
+            res.update(map(add[w].__getitem__, u))
     return frozenset(res)
 
 
@@ -401,7 +409,7 @@ def ideal_from_generators(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     """Smallest ideal containing the given elements."""
     out = frozenset({ring.zero})
     for g in gens:
-        out = _subgroup_sum(ring.add, out, principal_ideal(ring, g).elements)
+        out = _subgroup_sum(ring._add, out, principal_ideal(ring, g).elements)
     return Ideal(ring, out)
 
 
@@ -425,7 +433,7 @@ def principal_ideal(ring: FiniteRing, x: int) -> Ideal:
 def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
     _same_ring(i, j)
     r = i.ring
-    return Ideal(r, _subgroup_sum(r.add, i.elements, j.elements))
+    return Ideal(r, _subgroup_sum(r._add, i.elements, j.elements))
 
 
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
@@ -648,8 +656,10 @@ def localize_at_prime(ring: FiniteRing, p: Ideal) -> tuple[FiniteRing, RingMap]:
 class SubobjectLattice:
     """Every sub-object of a finite carrier, indexed, with memoized arithmetic.
 
-    The carrier has elements 0..size-1 with zero at 0, an addition
-    ``add(x, y)`` and a ring action ``scalar(a, x)``.  Its sub-objects (the
+    The carrier has elements 0..size-1 with zero at 0.  The engine reads its
+    arithmetic from two tables: the addition rows ``add[w][x]`` (x + w) and
+    the orbit rows ``orbit[x][a]`` (the ring action a*x); any object that
+    returns an indexable row for each element will do.  Its sub-objects (the
     ideals of a ring, the submodules of a module) are the additive
     subgroups closed under the action.  They get stable indices, ordered by
     cardinality and then by sorted elements, and sums, meets, products with
@@ -658,11 +668,11 @@ class SubobjectLattice:
     ``ring_lattice``, the ideal lattice of the base ring.
     """
 
-    def __init__(self, ring: FiniteRing, size: int, add, scalar, ring_lattice: "IdealLattice"):
+    def __init__(self, ring: FiniteRing, size: int, add, orbit, ring_lattice: "IdealLattice"):
         self.ring = ring
         self.size = size
         self._add = add
-        self._scalar = scalar
+        self._orbit = orbit
         self.ring_lattice = ring_lattice
         self._cyclics: dict[int, frozenset] = {}
         self.sets = tuple(sorted(self._enumerate(), key=lambda s: (len(s), tuple(sorted(s)))))
@@ -705,7 +715,7 @@ class SubobjectLattice:
     def cyclic(self, x: int) -> frozenset:
         """The sub-object generated by one element: its orbit under the ring."""
         if x not in self._cyclics:
-            self._cyclics[x] = frozenset(self._scalar(a, x) for a in range(self.ring.size))
+            self._cyclics[x] = frozenset(self._orbit[x])
         return self._cyclics[x]
 
     # -- order ---------------------------------------------------------------
@@ -809,7 +819,7 @@ class SubobjectLattice:
             ideal = self.ring_lattice.sets[a]
             out = frozenset({0})
             for g in self.min_gens(i):
-                piece = frozenset(self._scalar(b, g) for b in ideal)
+                piece = frozenset(map(self._orbit[g].__getitem__, ideal))
                 if not piece <= out:
                     out = _subgroup_sum(self._add, out, piece)
             self._prod[key] = self.index[out]
@@ -818,12 +828,12 @@ class SubobjectLattice:
     def colon_row(self, i: int) -> tuple[int, ...]:
         """For each carrier element x, the ring-lattice index of (N_i : x)."""
         if i not in self._colon_rows:
-            sub = self.sets[i]
-            scalar = self._scalar
+            in_sub = self.sets[i].__contains__
             ring_elems = range(self.ring.size)
             ring_index = self.ring_lattice.index
+            orbit = self._orbit
             self._colon_rows[i] = tuple(
-                ring_index[frozenset(a for a in ring_elems if scalar(a, x) in sub)]
+                ring_index[frozenset(compress(ring_elems, map(in_sub, orbit[x])))]
                 for x in range(self.size)
             )
         return self._colon_rows[i]
@@ -850,10 +860,14 @@ class SubobjectLattice:
 
 
 class IdealLattice(SubobjectLattice):
-    """The ideals of a ring, on the ring's own addition and multiplication."""
+    """The ideals of a ring, on the ring's own addition and multiplication.
+
+    The ring is commutative, so its tables already are the engine's rows:
+    ``_add[w][x]`` is x + w and ``_mul[x][a]`` is a*x.
+    """
 
     def __init__(self, ring: FiniteRing):
-        super().__init__(ring, ring.size, ring.add, ring.mul, self)
+        super().__init__(ring, ring.size, ring._add, ring._mul, self)
         self.ideals = tuple(Ideal(ring, s) for s in self.sets)
 
     def idx(self, ideal: Ideal) -> int:

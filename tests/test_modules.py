@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from torsionlab.errors import NotASubmodule, RingMismatch
-from torsionlab.filters import enumerate_gabriel_filters
+from torsionlab.filters import closure, enumerate_gabriel_filters, lambda_filter
 from torsionlab.modules import (
     element_annihilator,
     free_module,
@@ -125,6 +125,35 @@ def test_lattice_rank_one_matches_ideals():
                 by_scan = closure_by_scan(ring, rl.sets[i], member_sets)
                 assert rl.sets[rl.closure(i, members)] == by_scan
     assert submodule_lattice(free_module(zmod(12), 1)).n == 6
+
+
+def test_rows_match_element_arithmetic():
+    # The lattice engine reads addition rows add[w][x] (x + w) and orbit rows
+    # orbit[x][a] (a*x); every entry must equal the element-level arithmetic.
+    for term in ring_catalog(8):
+        ring = build_ring(term)
+        rl = ideal_lattice(ring)
+        assert rl._add is ring._add and rl._orbit is ring._mul
+        a2 = free_module(ring, 2)
+        lat = submodule_lattice(a2)
+        assert lat._add is a2.add_rows and lat._orbit is a2.orbit_rows
+        mid = lat.submodules[lat.n // 2]
+        assert 0 < lat.n // 2 < lat.top
+        quo, sub = a2.quotient_module(mid), a2.submodule_module(mid)
+        for m in (free_module(ring, 0), free_module(ring, 1), a2, quo, sub):
+            for w in range(m.size):
+                assert m.add_rows[w] == [m.add_elem(x, w) for x in range(m.size)]
+            for x in range(m.size):
+                assert m.orbit_rows[x] == [m.scalar(a, x) for a in range(ring.size)]
+
+
+def test_element_level_code_builds_no_rows():
+    ring = build_ring({"zmod": 8})
+    m = free_module(ring, 2)
+    for sub in (frozenset({0}), frozenset(range(m.size))):
+        assert is_submodule(m, sub)
+        closure(m, sub, lambda_filter(ring))
+    assert not m.add_rows and not m.orbit_rows
 
 
 def test_lattice_rank_one_product_ring():

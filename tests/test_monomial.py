@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torsionlab.errors import TailDisciplineViolation
@@ -246,8 +248,41 @@ def test_saturation_collapses_overlapping_family():
     assert got == monomial_ideal([mono(x1=1)])
 
 
+# x2*x[3+k] collapses to x2 under s = x1*x3, which reaches the start of x[2+2k]
+TAIL_CLASH = MonomialIdeal(
+    families=(TailFamily(Monomial.one(), 2, 2, 1), TailFamily(mono(x2=1), 3, 1, 1))
+)
+
+
+def test_saturation_peels_leading_instances():
+    # Unpeeled, each saturation below breaks the tail rule (the query-mix
+    # reports once read <x2*x4^2,x[3+2k]> and <x3^2,x[3+2k]>); the peeled
+    # presentation keeps the rule and has the same members.
+    odd_tail = TailFamily(Monomial.one(), 3, 2, 1)
+    cases = [
+        (TAIL_CLASH, mono(x1=1, x3=1),
+         MonomialIdeal((mono(x2=1),), (TailFamily(Monomial.one(), 2, 2, 1),)),
+         "<x2,x[4+2k]>"),
+        (MonomialIdeal(families=(TailFamily(mono(x2=1, x4=2), 5, 1, 1), odd_tail)),
+         mono(x1=2, x6=2), MonomialIdeal((mono(x2=1, x4=2),), (odd_tail,)),
+         "<x3,x2*x4^2,x[5+2k]>"),
+        (MonomialIdeal(families=(odd_tail, TailFamily(mono(x3=2), 6, 2, 1))),
+         mono(x4=1, x6=2), MonomialIdeal((mono(x3=2),), (odd_tail,)), "<x3,x[5+2k]>"),
+    ]
+    grid = [
+        Monomial.from_mapping({v + 1: e for v, e in enumerate(exps) if e})
+        for exps in itertools.product(range(3), repeat=8)
+    ]
+    for ideal, s, unpeeled, label in cases:
+        sat = saturation(ideal, PrincipalMultSet(s))
+        sat.validate()
+        assert sat.label == label
+        assert all(member(sat, m) == member(unpeeled, m) for m in grid)
+
+
 @settings(max_examples=100, deadline=None)
 @given(disciplined_ideals(), small_monomials, test_points)
+@example(TAIL_CLASH, mono(x1=1, x3=1), Monomial.one())
 def test_saturation_is_power_quotient(ideal, s, point):
     mult = PrincipalMultSet(s)
     sat = saturation(ideal, mult)
