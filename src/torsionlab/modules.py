@@ -23,6 +23,7 @@ from .rings import (
     FiniteRing,
     Ideal,
     SubobjectLattice,
+    _Rows,
     _subgroup_sum,
     ideal_lattice,
     primitive_idempotents,
@@ -31,18 +32,6 @@ from .rings import (
 FREE_CARRIER_CAP = 4096
 
 Vector = tuple
-
-
-class _Rows(dict):
-    """Table rows keyed by element index, each built on its first read."""
-
-    def __init__(self, build):
-        super().__init__()
-        self._build = build
-
-    def __missing__(self, key: int) -> list[int]:
-        row = self[key] = self._build(key)
-        return row
 
 
 class FiniteModule:

@@ -85,12 +85,15 @@ def tfg_certificate(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) 
     rl = lat.ring_lattice
     members = sigma.member_indices()
     n_idx = lat.idx(sub)
+    cm = lat.colon_matrix()
+    up = lat.up_masks()
     best_key = None
     best = None
-    for h_idx in range(lat.n):
-        if not lat.leq(h_idx, n_idx):
+    # a sub-object inside N_n has an index no larger than n
+    for h_idx in range(n_idx + 1):
+        if not up[h_idx] >> n_idx & 1:
             continue
-        colon_idx = lat.pair_colon(h_idx, n_idx)
+        colon_idx = cm[h_idx][n_idx]
         if colon_idx not in members:
             continue
         gens = lat.min_gens(h_idx)
@@ -172,13 +175,21 @@ def closure_colon_witness(
 
 
 def _colon_witness(lat, n_idx: int, members: frozenset) -> int | None:
-    """The coarsest member h with (N : h) equal to the closure of N, or None."""
+    """The coarsest member h with (N : h) equal to the closure of N, or None.
+
+    (N : h) = {m : h <= (N : m)} and the closure is {m : (N : m) in the
+    filter}, so h qualifies iff, on the colons (N : m) that occur, being
+    above h is being in the filter.
+    """
     rl = lat.ring_lattice
-    row = lat.colon_row(n_idx)
-    cl = lat.submodules[lat.closure(n_idx, members)]
+    up = rl.up_masks()
+    occurring = 0
+    for c in set(lat.colon_row(n_idx)):
+        occurring |= 1 << c
+    occurring_members = occurring & sum(1 << c for c in members)
     # ring-lattice indices follow Ideal.sort_key, so ties go to the smaller index
     for h_idx in sorted(members, key=lambda i: (-len(rl.sets[i]), i)):
-        if frozenset(m for m in range(lat.size) if rl.leq(h_idx, row[m])) == cl:
+        if up[h_idx] & occurring == occurring_members:
             return h_idx
     return None
 
@@ -206,12 +217,16 @@ def _sigma_maximal(lat, family: Sequence[int], members: frozenset) -> list[tuple
     """(N, h) for each index N of the family whose colons (N : H) into the
     members H >= N meet in a filter ideal; h is that meet, the largest one."""
     rl = lat.ring_lattice
+    cm = lat.colon_matrix()
+    up = lat.up_masks()
     out = []
     for n in family:
         acc = rl.top
+        row = cm[n]
+        above = up[n]
         for h in family:
-            if lat.leq(n, h):
-                acc = rl.inter(acc, lat.pair_colon(n, h))
+            if above >> h & 1:
+                acc = rl.inter(acc, row[h])
         if acc in members:
             out.append((n, acc))
     return out
@@ -231,9 +246,11 @@ def upper_closure(
 
 def _upper_closure(lat, family: Sequence[int], members: frozenset) -> list[int]:
     """Indices H with (N : H) in the filter for some index N of the family."""
-    return [
-        h for h in range(lat.n) if any(lat.pair_colon(n, h) in members for n in family)
-    ]
+    cm = lat.colon_matrix()
+    found = set()
+    for n in family:
+        found.update(h for h, c in enumerate(cm[n]) if c in members)
+    return sorted(found)
 
 
 def is_upper_closed(
@@ -303,19 +320,26 @@ def quotient_transfer_check(
             f"T is not totally torsion: annihilator {rl.ideals[ann].label} "
             f"outside {sigma.label}"
         )
+    cm = lat.colon_matrix()
+    up = rl.up_masks()
+    in_filter = [a in members for a in range(rl.n)]
+    times_ann = [rl.prod(a, ann) for a in range(rl.n)]
     plus_t = [lat.sum(i, t_idx) for i in range(lat.n)]
-    for n_idx, m_idx in lat.inclusion_pairs():
-        h = lat.pair_colon(n_idx, m_idx)
-        h_bar = lat.pair_colon(plus_t[n_idx], plus_t[m_idx])
-        if h in members:
-            if not (rl.leq(h, h_bar) and h_bar in members):
-                return False
-        if h_bar in members:
-            composed = rl.prod(h_bar, ann)
-            if composed not in members:
-                return False
-            if not rl.leq(composed, h):  # N_m * (h_bar * annT) <= N_n
-                return False
+    for n_idx in range(lat.n):
+        row = cm[n_idx]
+        row_bar = cm[plus_t[n_idx]]
+        for m_idx in lat.upset(n_idx):
+            h = row[m_idx]
+            h_bar = row_bar[plus_t[m_idx]]
+            if in_filter[h]:
+                if not (up[h] >> h_bar & 1 and in_filter[h_bar]):
+                    return False
+            if in_filter[h_bar]:
+                composed = times_ann[h_bar]
+                if not in_filter[composed]:
+                    return False
+                if not up[composed] >> h & 1:  # N_m * (h_bar * annT) <= N_n
+                    return False
     return True
 
 
@@ -403,11 +427,13 @@ class _Tally:
         self.passed = True
         self.counterexample = None
 
-    def check(self, ok: bool, witness: str) -> None:
+    def check(self, ok: bool, witness: str, *args) -> None:
+        """Count one instance; the first failure's counterexample is
+        ``witness.format(*args)``, built only then."""
         self.instances += 1
         if not ok and self.passed:
             self.passed = False
-            self.counterexample = witness
+            self.counterexample = witness.format(*args)
 
 
 _THEOREM_ORDER = (
@@ -436,9 +462,10 @@ _THEOREM_ORDER = (
 
 def _certified_flags(lat, members: frozenset) -> list[bool]:
     """For each submodule S: some H <= S has (H : S) in the filter."""
+    cm = lat.colon_matrix()
     flags = [False] * lat.n
     for h_idx, s_idx in lat.inclusion_pairs():
-        if not flags[s_idx] and lat.pair_colon(h_idx, s_idx) in members:
+        if not flags[s_idx] and cm[h_idx][s_idx] in members:
             flags[s_idx] = True
     return flags
 
@@ -446,12 +473,14 @@ def _certified_flags(lat, members: frozenset) -> list[bool]:
 def _quotient_certified(lat, members: frozenset) -> dict:
     """For pairs N <= S: some H in [N, S] with (H : S) in the filter,
     which certifies S/N inside M/N (the colon is unchanged above N)."""
+    cm = lat.colon_matrix()
     flags: dict[tuple[int, int], bool] = {
         pair: False for pair in lat.inclusion_pairs()
     }
     for n_idx, h_idx in lat.inclusion_pairs():
+        row = cm[h_idx]
         for s_idx in lat.upset(h_idx):
-            if not flags[(n_idx, s_idx)] and lat.pair_colon(h_idx, s_idx) in members:
+            if not flags[(n_idx, s_idx)] and row[s_idx] in members:
                 flags[(n_idx, s_idx)] = True
     return flags
 
@@ -476,6 +505,8 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
 
     for module, lat in zip(carriers, lattices):
         where = module.label
+        cm = lat.colon_matrix()
+        up = lat.up_masks()
         certified = _certified_flags(lat, members)
         q_certified = _quotient_certified(lat, members)
         pairs = lat.inclusion_pairs()
@@ -507,38 +538,42 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
                     )
                 )
                 reason = None if ok else "generator containment failed"
-            t.check(ok, f"{where}: S={s_idx}: {reason}")
+            t.check(ok, "{}: S={}: {}", where, s_idx, reason)
 
         # images of certified submodules under quotient maps stay certified
         t = tallies["totally-fg-quotient-images"]
-        witness_h = [0] * lat.n
-        for s_idx in range(lat.n):
-            for h_idx in range(lat.n):
-                if lat.leq(h_idx, s_idx) and s_idx in upper[h_idx]:
-                    witness_h[s_idx] = h_idx
-                    break
+        # witness_h[s]: the first H <= S with (H : S) in the filter; a
+        # sub-object inside N_s has an index no larger than s
+        witness_h = [
+            next(
+                (h for h in range(s + 1) if up[h] >> s & 1 and cm[h][s] in members), 0
+            )
+            for s in range(lat.n)
+        ]
         for n_idx in range(lat.n):
+            above_n = up[n_idx]
             for s_idx in range(lat.n):
-                image_h = lat.sum(witness_h[s_idx], n_idx)
-                image_s = lat.sum(s_idx, n_idx)
-                t.check(image_s in upper[image_h], f"{where}: N={n_idx}, S={s_idx}")
+                # sums as in SubobjectLattice.sum: the lowest common upper bound
+                h_ups = up[witness_h[s_idx]] & above_n
+                s_ups = up[s_idx] & above_n
+                image_h = (h_ups & -h_ups).bit_length() - 1
+                image_s = (s_ups & -s_ups).bit_length() - 1
+                t.check(cm[image_h][image_s] in members, "{}: N={}, S={}", where, n_idx, s_idx)
 
         # N and M/N certified in all parts iff M is
         t = tallies["noetherian-submodule-quotient"]
         for n_idx in range(lat.n):
             sub_side = all(
-                certified[s_idx] for s_idx in range(lat.n) if lat.leq(s_idx, n_idx)
+                certified[s_idx] for s_idx in range(n_idx + 1) if up[s_idx] >> n_idx & 1
             )
             quo_side = all(q_certified[(n_idx, s_idx)] for s_idx in lat.upset(n_idx))
-            t.check(
-                totally_noetherian == (sub_side and quo_side), f"{where}: N={n_idx}"
-            )
+            t.check(totally_noetherian == (sub_side and quo_side), "{}: N={}", where, n_idx)
 
         # closure-colon witness exists for every submodule
         t = tallies["closure-colon-witness"]
         for s_idx in range(lat.n):
             found = _colon_witness(lat, s_idx, members) is not None
-            t.check(found, f"{where}: S={s_idx}")
+            t.check(found, "{}: S={}", where, s_idx)
 
         # side (a): every chain is totally stable (pairs plus maximal chains)
         t = tallies["chain-stability"]
@@ -546,11 +581,11 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         for a, b in pairs:
             stable = b in upper[a] or b in upper[b]
             side_chains = side_chains and stable
-            t.check(stable, f"{where}: pair ({a},{b})")
+            t.check(stable, "{}: pair ({},{})", where, a, b)
         for chain in lat.maximal_chains():
             stable = any(chain[-1] in upper[m_idx] for m_idx in chain)
             side_chains = side_chains and stable
-            t.check(stable, f"{where}: chain {chain}")
+            t.check(stable, "{}: chain {}", where, chain)
 
         # side (b): upper closures of singletons are upper closed with maxima
         t = tallies["upper-closed-families-have-maximal"]
@@ -560,7 +595,7 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
             closed = all(upper[h] <= upper[n_idx] for h in upper[n_idx])
             has_maximal = bool(maxima[n_idx])
             side_upper = side_upper and closed and has_maximal
-            t.check(closed and has_maximal, f"{where}: N={n_idx}")
+            t.check(closed and has_maximal, "{}: N={}", where, n_idx)
 
         # side (c): singleton, pair and full-lattice families have
         # sigma-maximal elements
@@ -569,36 +604,36 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         for n_idx in range(lat.n):
             ok = n_idx in upper[n_idx]
             side_sigma_max = side_sigma_max and ok
-            t.check(ok, f"{where}: singleton {n_idx}")
+            t.check(ok, "{}: singleton {}", where, n_idx)
         for a, b in pairs:
             if a == b:
                 continue
             exists = bool(_sigma_maximal(lat, (a, b), members))
             side_sigma_max = side_sigma_max and exists
-            t.check(exists, f"{where}: family ({a},{b})")
+            t.check(exists, "{}: family ({},{})", where, a, b)
         ok = lat.top in upper[lat.top]
         side_sigma_max = side_sigma_max and ok
-        t.check(ok, f"{where}: full lattice family")
+        t.check(ok, "{}: full lattice family", where)
 
         tallies["maximal-conditions-triangle"].check(
             side_chains == side_upper == side_sigma_max == totally_noetherian,
-            f"{where}: chains={side_chains}, upper={side_upper}, "
-            f"sigma-max={side_sigma_max}, noetherian={totally_noetherian}",
+            "{}: chains={}, upper={}, sigma-max={}, noetherian={}",
+            where, side_chains, side_upper, side_sigma_max, totally_noetherian,
         )
 
         # unique maximal element iff the closure joins the upper closure
         t = tallies["unique-maximal"]
         for n_idx in range(lat.n):
             rhs = lat.closure(n_idx, members) in upper[n_idx]
-            t.check((len(maxima[n_idx]) == 1) == rhs, f"{where}: N={n_idx}")
+            t.check((len(maxima[n_idx]) == 1) == rhs, "{}: N={}", where, n_idx)
 
         # quotients by totally torsion submodules preserve stability data
         t = tallies["totally-torsion-quotient-transfer"]
         for t_idx in range(lat.n):
-            if lat.pair_colon(lat.zero, t_idx) not in members:
+            if cm[lat.zero][t_idx] not in members:
                 continue
             ok = quotient_transfer_check(module, lat.submodules[t_idx], sigma)
-            t.check(ok, f"{where}: T={t_idx}")
+            t.check(ok, "{}: T={}", where, t_idx)
 
         # local property: certified iff certified at every maximal K-prime
         t = tallies["local-property"]
@@ -608,13 +643,13 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         ]
         t.check(
             totally_noetherian == all(local_sides),
-            f"{where}: local sides {local_sides}",
+            "{}: local sides {}", where, local_sides,
         )
 
     # A (+) A is the rank-2 carrier: direct-sum stability instance
     tallies["noetherian-direct-sum"].check(
         noetherian_per_carrier[0] == noetherian_per_carrier[1],
-        f"A: {noetherian_per_carrier[0]}, A^2: {noetherian_per_carrier[1]}",
+        "A: {}, A^2: {}", noetherian_per_carrier[0], noetherian_per_carrier[1],
     )
 
     # ring-level statements
@@ -631,7 +666,7 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
             acc_idx = rl.sum(acc_idx, principal_idx[g])
         t.check(
             rl.ideals[acc_idx].elements == b.elements,
-            f"basis {b.label} not regenerated from {gens}",
+            "basis {} not regenerated from {}", b.label, gens,
         )
 
     def totally_principal_ideal(i_idx: int, mem: frozenset) -> bool:
@@ -648,18 +683,18 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
 
     t = tallies["cohen-prime-criterion"]
     prime_side = all(a_certified_flags[a_lat.idx(p.elements)] for p in part.K)
-    t.check(a_certified == prime_side, f"noetherian={a_certified}, K-side={prime_side}")
+    t.check(a_certified == prime_side, "noetherian={}, K-side={}", a_certified, prime_side)
 
     t = tallies["kaplansky-prime-criterion"]
     pir_side = all(totally_principal_ideal(i, members) for i in range(rl.n))
     prime_pir_side = all(totally_principal_ideal(rl.idx(p), members) for p in part.K)
-    t.check(pir_side == prime_pir_side, f"PIR={pir_side}, K-primes={prime_pir_side}")
+    t.check(pir_side == prime_pir_side, "PIR={}, K-primes={}", pir_side, prime_pir_side)
 
     t = tallies["kaplansky-noetherian-corollary"]
     sigma_pir = all(sigma_principal_ideal(i, members) for i in range(rl.n))
     t.check(
         pir_side == (sigma_pir and a_certified),
-        f"totally-PIR={pir_side}, sigma-PIR={sigma_pir}, noetherian={a_certified}",
+        "totally-PIR={}, sigma-PIR={}, noetherian={}", pir_side, sigma_pir, a_certified,
     )
 
     tallies["meet-decomposition"].check(
@@ -691,7 +726,7 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         downstream = all(_certified_flags(target_lat, induced.member_indices()))
         t.check(
             (not a_certified) or downstream,
-            f"{target.label} not certified under the induced filter",
+            "{} not certified under the induced filter", target.label,
         )
 
     results = tuple(

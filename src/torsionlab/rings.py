@@ -13,8 +13,10 @@ representation but are never parsed from user input.
 of a ring or the submodules of a module and memoizes their arithmetic
 (sums, meets, products, colons, order) and computes closures from it.  It
 reads two tables of the carrier, addition rows and orbit rows, and never
-calls element arithmetic.  :class:`IdealLattice` runs it on the ring's own
-addition and multiplication tables; :class:`torsionlab.modules.SubmoduleLattice`
+calls element arithmetic.  Its own results are tables too: the colon
+matrix, whose row i and column j hold (N_i : N_j), and the up-sets as int
+bitmasks, from which sums are read.  :class:`IdealLattice` runs it on the
+ring's own addition and multiplication tables; :class:`torsionlab.modules.SubmoduleLattice`
 runs it on module rows, which the module builds from its coset arithmetic
 the first time the engine reads them.
 """
@@ -379,6 +381,18 @@ def _same_ring(a, b) -> None:
         raise RingMismatch(f"operands over {a.ring.label} and {b.ring.label}")
 
 
+class _Rows(dict):
+    """Table rows keyed by index, each built on its first read."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key: int):
+        row = self[key] = self._build(key)
+        return row
+
+
 def _subgroup_sum(add, u: frozenset, c: frozenset) -> frozenset:
     """Sum of two additive subgroups, built as a union of u-cosets.
 
@@ -662,10 +676,12 @@ class SubobjectLattice:
     returns an indexable row for each element will do.  Its sub-objects (the
     ideals of a ring, the submodules of a module) are the additive
     subgroups closed under the action.  They get stable indices, ordered by
-    cardinality and then by sorted elements, and sums, meets, products with
-    ideals and colons become memoized index lookups; closures are read off
-    the memoized colon rows.  Colons are ideals, indexed in
-    ``ring_lattice``, the ideal lattice of the base ring.
+    cardinality and then by sorted elements; meets, products with ideals and
+    colons become memoized index lookups, sums are read off the up-set
+    masks, and closures off the memoized colon rows.  Colons are ideals, indexed in
+    ``ring_lattice``, the ideal lattice of the base ring.  Hot loops read
+    the tables directly: ``colon_matrix()[i][j]`` is ``pair_colon(i, j)``,
+    and bit j of ``up_masks()[i]`` is ``leq(i, j)``.
     """
 
     def __init__(self, ring: FiniteRing, size: int, add, orbit, ring_lattice: "IdealLattice"):
@@ -681,12 +697,12 @@ class SubobjectLattice:
         self.zero = self.index[frozenset({0})]
         self.top = self.index[frozenset(range(size))]
         self._colon_rows: dict[int, tuple[int, ...]] = {}
-        self._pair_colon: dict[tuple[int, int], int] = {}
+        self._colon_matrix = _Rows(self._colon_matrix_row)
         self._min_gens: dict[int, tuple[int, ...]] = {}
-        self._sum: dict[tuple[int, int], int] = {}
         self._inter: dict[tuple[int, int], int] = {}
         self._prod: dict[tuple[int, int], int] = {}
         self._upsets: dict[int, tuple[int, ...]] = {}
+        self._up_masks: list[int] | None = None
         self._incl_pairs: list[tuple[int, int]] | None = None
         self._covers: dict[int, tuple[int, ...]] | None = None
 
@@ -732,6 +748,12 @@ class SubobjectLattice:
             s = self.sets[i]
             self._upsets[i] = tuple(j for j in range(i, self.n) if s <= self.sets[j])
         return self._upsets[i]
+
+    def up_masks(self) -> list[int]:
+        """The up-sets as int bitmasks: bit j of entry i is set iff N_i <= N_j."""
+        if self._up_masks is None:
+            self._up_masks = [sum(1 << j for j in self.upset(i)) for i in range(self.n)]
+        return self._up_masks
 
     def maximal(self, family: Collection[int]) -> list[int]:
         """The members of a family of indices that no other member contains."""
@@ -799,12 +821,14 @@ class SubobjectLattice:
         return self._min_gens[i]
 
     def sum(self, i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        if key not in self._sum:
-            self._sum[key] = self.index[
-                _subgroup_sum(self._add, self.sets[key[0]], self.sets[key[1]])
-            ]
-        return self._sum[key]
+        """Index of N_i + N_j, read off the up-set masks.
+
+        The sum is the least common upper bound; every other one contains it
+        properly, so it has the smallest index among them.
+        """
+        up = self.up_masks()
+        common = up[i] & up[j]
+        return (common & -common).bit_length() - 1
 
     def inter(self, i: int, j: int) -> int:
         key = (i, j) if i <= j else (j, i)
@@ -838,17 +862,29 @@ class SubobjectLattice:
             )
         return self._colon_rows[i]
 
+    def colon_matrix(self) -> dict[int, tuple[int, ...]]:
+        """Row i, column j: the ring-lattice index of (N_i : N_j).
+
+        Each row is built the first time it is read, from the colon row of
+        N_i and the generators of every N_j.
+        """
+        return self._colon_matrix
+
+    def _colon_matrix_row(self, i: int) -> tuple[int, ...]:
+        inter = self.ring_lattice.inter
+        top = self.ring_lattice.top
+        row = self.colon_row(i)
+        out = []
+        for j in range(self.n):
+            acc = top
+            for g in self.min_gens(j):
+                acc = inter(acc, row[g])
+            out.append(acc)
+        return tuple(out)
+
     def pair_colon(self, i: int, j: int) -> int:
         """Ring-lattice index of (N_i : N_j) = {a : N_j*a <= N_i}."""
-        key = (i, j)
-        if key not in self._pair_colon:
-            rl = self.ring_lattice
-            out = rl.top
-            row = self.colon_row(i)
-            for g in self.min_gens(j):
-                out = rl.inter(out, row[g])
-            self._pair_colon[key] = out
-        return self._pair_colon[key]
+        return self._colon_matrix[i][j]
 
     def closure(self, i: int, members: frozenset) -> int:
         """Index of the closure {x : (N_i : x) in the filter} of N_i.

@@ -116,3 +116,11 @@ def additive_closure_by_scan(ring: FiniteRing, seed: set) -> frozenset:
         if not more:
             return frozenset(out)
         out |= more
+
+
+def pair_colon_by_scan(module, n_i: frozenset, n_j: frozenset) -> frozenset:
+    """{a : a*y in N_i for every y in N_j}, by module.scalar on every pair."""
+    return frozenset(
+        a for a in range(module.ring.size)
+        if all(module.scalar(a, y) in n_i for y in n_j)
+    )

@@ -7,6 +7,7 @@ recomputations or frozen constants checked against those oracles.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -147,6 +148,18 @@ def test_criterion_6_quotient_transfer(sweep12):
         if not result.passed:
             ok = False
     announce(6, ok, f"stability transfer through totally torsion quotients ({checked} instances)")
+
+
+def test_sweep12_reports_are_pinned(sweep12):
+    # Byte-identity gate: the size <= 12 suite reports must not change under
+    # a refactor or an optimization. The digest was taken before the colon
+    # matrix replaced the per-pair colon memo.
+    blob = json.dumps([report.to_dict() for _, _, report in sweep12], sort_keys=True)
+    data = blob.encode("utf-8")
+    assert len(data) == 187652
+    assert hashlib.sha256(data).hexdigest() == (
+        "aea3f5bc1237d79089f075a7f1286a990cde89c8c763b525c13de0d33dacedb1"
+    )
 
 
 def test_criterion_7_monomial_goldens():

@@ -15,6 +15,7 @@ from torsionlab.modules import (
     span,
     submodule_lattice,
 )
+from torsionlab.noether import upper_closure
 from torsionlab.rings import (
     build_ring,
     enumerate_ideals,
@@ -26,7 +27,12 @@ from torsionlab.rings import (
     zmod,
 )
 
-from .helpers import additive_closure_by_scan, closure_by_scan, maximal_by_scan
+from .helpers import (
+    additive_closure_by_scan,
+    closure_by_scan,
+    maximal_by_scan,
+    pair_colon_by_scan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +131,37 @@ def test_lattice_rank_one_matches_ideals():
                 by_scan = closure_by_scan(ring, rl.sets[i], member_sets)
                 assert rl.sets[rl.closure(i, members)] == by_scan
     assert submodule_lattice(free_module(zmod(12), 1)).n == 6
+
+
+def test_colon_matrix_matches_scan():
+    # Every entry of the colon matrix, and pair_colon, against a raw scan of
+    # a*y over all a and all y in N_j; then upper closures (each single
+    # submodule, all of them, every other one) against a scan of every
+    # submodule H for some (N : H) in the filter.
+    for term in ring_catalog(8):
+        ring = build_ring(term)
+        rl = ideal_lattice(ring)
+        filters = enumerate_gabriel_filters(ring)
+        for rank in (1, 2):
+            module = free_module(ring, rank)
+            lat = submodule_lattice(module)
+            cm = lat.colon_matrix()
+            scan = {}
+            for i, si in enumerate(lat.sets):
+                for j, sj in enumerate(lat.sets):
+                    scan[i, j] = pair_colon_by_scan(module, si, sj)
+                    assert rl.sets[cm[i][j]] == scan[i, j]
+                    assert lat.pair_colon(i, j) == cm[i][j]
+            for sigma in filters:
+                member_sets = {a.elements for a in sigma.members}
+                families = [[i] for i in range(lat.n)]
+                families += [list(range(lat.n)), list(range(0, lat.n, 2))]
+                for fam in families:
+                    by_scan = tuple(
+                        sj for j, sj in enumerate(lat.sets)
+                        if any(scan[i, j] in member_sets for i in fam)
+                    )
+                    assert upper_closure(module, [lat.sets[i] for i in fam], sigma) == by_scan
 
 
 def test_rows_match_element_arithmetic():

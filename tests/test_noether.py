@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from torsionlab import noether
 from torsionlab.errors import NotAscending, PreconditionFailed
 from torsionlab.filters import (
     enumerate_gabriel_filters,
     filter_from_mult_set,
+    filter_from_prime,
     improper_filter,
     trivial_filter,
 )
-from torsionlab.modules import free_module, submodule_lattice
+from torsionlab.modules import SubmoduleLattice, free_module, submodule_lattice
 from torsionlab.noether import (
     Certificate,
     chain_stability,
@@ -305,3 +307,41 @@ def test_is_upper_closed_fixpoint(z12, sigma39):
     fam = upper_closure(m, [frozenset({0, 6})], sigma39)
     assert is_upper_closed(m, fam, sigma39)
     assert not is_upper_closed(m, [frozenset({0, 6})], sigma39)
+
+
+def _planted_transfer(monkeypatch, row: int, col: int, value: int) -> bool:
+    """Run quotient_transfer_check on A = Z/6 with T = (3) and the filter of
+    ideals outside the prime (3), after setting one colon-matrix entry.
+
+    The corrupted matrix belongs to a private lattice that the check is
+    handed through a monkeypatched ``submodule_lattice``; the cached lattice
+    of A stays intact.
+    """
+    ring = zmod(6)
+    module = free_module(ring, 1)
+    sigma = filter_from_prime(ring, ideal_from_generators(ring, [3]))
+    t_sub = frozenset({0, 3})
+    lat = SubmoduleLattice(module)
+    monkeypatch.setattr(noether, "submodule_lattice", lambda m: lat)
+    assert quotient_transfer_check(module, t_sub, sigma)
+    cm = lat.colon_matrix()
+    cm[row] = cm[row][:col] + (value,) + cm[row][col + 1:]
+    return quotient_transfer_check(module, t_sub, sigma)
+
+
+def test_quotient_transfer_catches_planted_defects(monkeypatch):
+    ring = zmod(6)
+    lat = submodule_lattice(free_module(ring, 1))
+    rl = lat.ring_lattice
+    zero, top, t_idx = lat.zero, lat.top, lat.idx(frozenset({0, 3}))
+    assert rl.zero not in filter_from_prime(
+        ring, ideal_from_generators(ring, [3])
+    ).member_indices()
+    # forward: the pair (0, T) has h = (0 : T) = (2) in the filter; its image
+    # pair is (T, T), whose colon is planted as the zero ideal, outside it
+    assert lat.pair_colon(zero, t_idx) == rl.idx(ideal_from_generators(ring, [2]))
+    assert not _planted_transfer(monkeypatch, t_idx, t_idx, rl.zero)
+    # backward: the pair (0, 0) has image pair (T, T) with h_bar = A in the
+    # filter, and h_bar*ann(T) = (2) must lie in h, planted as the zero ideal
+    assert lat.pair_colon(t_idx, t_idx) == rl.top == top
+    assert not _planted_transfer(monkeypatch, zero, zero, rl.zero)
