@@ -29,6 +29,7 @@ from .filters import (
     filter_from_mult_set,
     filter_from_prime,
     gabriel_closure,
+    ideal_closure,
     improper_filter,
     lambda_filter,
     spec_partition,
@@ -189,25 +190,19 @@ def _run_partition(doc: dict, cap: int, budget: DecisionBudget) -> tuple[dict, l
 
 
 def _run_closure(doc: dict, cap: int, budget: DecisionBudget) -> tuple[dict, list]:
-    from .filters import closure as module_closure
-    from .filters import is_closed, is_dense
-
     ring = build_ring(doc["ring"], cap)
     sigma = build_filter(ring, doc["filter"])
     ideal = ideal_from_generators(ring, doc["params"]["ideal_gens"])
-    carrier = free_module(ring, 1)
-    sub = frozenset(ideal.elements)
-    closed = module_closure(carrier, sub, sigma)
-    closed_ideal = ideal_from_generators(ring, sorted(closed))
+    closed = ideal_closure(ideal, sigma)
     results = {
         "kind": "closure",
         "ring": ring.label,
         "filter": sigma.label,
         "ideal": ideal.label,
-        "closure": closed_ideal.label,
-        "closure_elements": sorted(closed),
-        "is_closed": is_closed(carrier, sub, sigma),
-        "is_dense": is_dense(carrier, sub, sigma),
+        "closure": closed.label,
+        "closure_elements": sorted(closed.elements),
+        "is_closed": closed == ideal,
+        "is_dense": len(closed) == ring.size,
     }
     return results, []
 

@@ -1,14 +1,15 @@
 """Gabriel filters and hereditary torsion machinery on finite rings.
 
-A filter is stored extensionally as a set of ideals.  Constructors always
-re-run the axiom check; a failure there means an implementation bug, not a
-bad input, and raises :class:`TheoremViolation`.
+A filter is stored extensionally as a set of ideals.  The census and the
+closure keep only up-sets that pass the axiom check; every other
+constructor re-runs it, and a failure there means an implementation bug,
+not a bad input, and raises :class:`TheoremViolation`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     NotASubmodule,
@@ -28,6 +29,7 @@ from .modules import (
 from .rings import (
     FiniteRing,
     Ideal,
+    IdealLattice,
     RingMap,
     enumerate_ideals,
     ideal_lattice,
@@ -90,35 +92,36 @@ def gabriel_check(ring: FiniteRing, members: Iterable[Ideal]) -> list[Violation]
     Checks, in order: non-emptiness, presence of the unit ideal, upward
     closure, closure under finite intersections, the Gabriel condition, and
     (derived, must follow from the others) closure under ideal products.
+    The axioms are stated once, in :func:`_violations`; callers that only
+    need a yes/no stop at its first violation.
     """
-    members = set(members)
-    out: list[Violation] = []
-    if not members:
-        return [Violation("empty-filter", ())]
     lat = ideal_lattice(ring)
-    member_idx = frozenset(lat.idx(a) for a in members)
+    return list(_violations(lat, frozenset(lat.idx(a) for a in members)))
+
+
+def _violations(lat: IdealLattice, member_idx: frozenset) -> Iterator[Violation]:
+    """The filter axioms on ring-lattice indices, violations in check order."""
+    if not member_idx:
+        yield Violation("empty-filter", ())
+        return
     if lat.top not in member_idx:
-        out.append(Violation("missing-unit-ideal", ()))
-    for i in sorted(member_idx):
+        yield Violation("missing-unit-ideal", ())
+    ordered = sorted(member_idx)
+    for i in ordered:
         for j in lat.upset(i):
             if j not in member_idx:
-                out.append(
-                    Violation(
-                        "upward-closure",
-                        (("member", lat.ideals[i]), ("superset", lat.ideals[j])),
-                    )
+                yield Violation(
+                    "upward-closure",
+                    (("member", lat.ideals[i]), ("superset", lat.ideals[j])),
                 )
-    ordered = sorted(member_idx)
     for pos, i in enumerate(ordered):
         for j in ordered[pos:]:
             k = lat.inter(i, j)
             if k not in member_idx:
-                out.append(
-                    Violation(
-                        "intersection-closure",
-                        (("left", lat.ideals[i]), ("right", lat.ideals[j]),
-                         ("intersection", lat.ideals[k])),
-                    )
+                yield Violation(
+                    "intersection-closure",
+                    (("left", lat.ideals[i]), ("right", lat.ideals[j]),
+                     ("intersection", lat.ideals[k])),
                 )
     for b in range(lat.n):
         if b in member_idx:
@@ -126,25 +129,25 @@ def gabriel_check(ring: FiniteRing, members: Iterable[Ideal]) -> list[Violation]
         row = lat.colon_row(b)
         for a in ordered:
             if all(row[x] in member_idx for x in lat.ideals[a].elements):
-                out.append(
-                    Violation(
-                        "gabriel-condition",
-                        (("absent", lat.ideals[b]), ("via", lat.ideals[a])),
-                    )
+                yield Violation(
+                    "gabriel-condition",
+                    (("absent", lat.ideals[b]), ("via", lat.ideals[a])),
                 )
                 break
     for pos, i in enumerate(ordered):
         for j in ordered[pos:]:
             k = lat.prod(i, j)
             if k not in member_idx:
-                out.append(
-                    Violation(
-                        "product-closure",
-                        (("left", lat.ideals[i]), ("right", lat.ideals[j]),
-                         ("product", lat.ideals[k])),
-                    )
+                yield Violation(
+                    "product-closure",
+                    (("left", lat.ideals[i]), ("right", lat.ideals[j]),
+                     ("product", lat.ideals[k])),
                 )
-    return out
+
+
+def _is_gabriel_upset(lat: IdealLattice, b: int) -> bool:
+    """Whether the up-set of ideal b satisfies every filter axiom."""
+    return next(_violations(lat, frozenset(lat.upset(b))), None) is None
 
 
 def _checked_filter(ring: FiniteRing, members: Iterable[Ideal], what: str) -> GabrielFilter:
@@ -161,33 +164,22 @@ def _checked_filter(ring: FiniteRing, members: Iterable[Ideal], what: str) -> Ga
 def gabriel_closure(ring: FiniteRing, seeds: Iterable[Ideal]) -> GabrielFilter:
     """Least Gabriel filter containing the seeds.
 
-    Fixed point of: add the unit ideal, close upward, close under
-    intersections, apply the Gabriel condition; the iteration order is fixed
-    for reproducibility but the least fixed point does not depend on it.
+    On a finite ring every Gabriel filter is the up-set of its smallest
+    member, and an intersection of Gabriel filters is Gabriel, so the ideals
+    b whose up-set is Gabriel and contains the seeds (b <= the seeds' meet)
+    are closed under sums.  The answer is the up-set of the largest of them.
+    A proper sub-ideal has a smaller lattice index, so the scan runs down
+    from the meet's index and stops at the first b <= meet that passes.
     """
     lat = ideal_lattice(ring)
-    current = {lat.idx(a) for a in seeds}
-    current.add(lat.top)
-    while True:
-        before = len(current)
-        for i in list(current):
-            current.update(lat.upset(i))
-        ordered = sorted(current)
-        for pos, i in enumerate(ordered):
-            for j in ordered[pos:]:
-                current.add(lat.inter(i, j))
-        for b in range(lat.n):
-            if b in current:
-                continue
-            row = lat.colon_row(b)
-            if any(
-                all(row[x] in current for x in lat.ideals[a].elements)
-                for a in sorted(current)
-            ):
-                current.add(b)
-        if len(current) == before:
-            break
-    return _checked_filter(ring, (lat.ideals[i] for i in current), "gabriel_closure")
+    meet = lat.top
+    for a in seeds:
+        meet = lat.inter(meet, lat.idx(a))
+    up = lat.up_masks()
+    b = next(
+        b for b in range(meet, -1, -1) if up[b] >> meet & 1 and _is_gabriel_upset(lat, b)
+    )
+    return GabrielFilter(ring, frozenset(lat.ideals[j] for j in lat.upset(b)))
 
 
 def filter_from_mult_set(ring: FiniteRing, mult_set: Iterable[int]) -> GabrielFilter:
@@ -255,11 +247,11 @@ def enumerate_gabriel_filters(ring: FiniteRing) -> tuple[GabrielFilter, ...]:
     cross-checks this against a raw subset scan of the ideal lattice.
     """
     lat = ideal_lattice(ring)
-    found = []
-    for b in range(lat.n):
-        members = [lat.ideals[j] for j in lat.upset(b)]
-        if not gabriel_check(ring, members):
-            found.append(GabrielFilter(ring, frozenset(members)))
+    found = [
+        GabrielFilter(ring, frozenset(lat.ideals[j] for j in lat.upset(b)))
+        for b in range(lat.n)
+        if _is_gabriel_upset(lat, b)
+    ]
     found.sort(key=lambda f: (len(f.members), tuple(a.sort_key() for a in f.sorted_members())))
     return tuple(found)
 
@@ -283,12 +275,18 @@ def torsion_submodule(module: FiniteModule, sigma: GabrielFilter) -> frozenset:
 
 
 def torsion_submodule_via_class(module: FiniteModule, sigma: GabrielFilter) -> frozenset:
-    """Same set computed the slow way: the sum of all torsion submodules."""
+    """Same set computed another way: the sum of all torsion submodules.
+
+    A submodule N is torsion iff ann N = (0 : N) is in the filter, so the
+    torsion submodules are read off row ``zero`` of the colon matrix.
+    """
     _require_same_ring(module, sigma)
     lat = submodule_lattice(module)
+    members = sigma.member_indices()
+    ann = lat.colon_matrix()[lat.zero]
     acc = lat.zero
-    for i, sub in enumerate(lat.submodules):
-        if all(element_annihilator(module, m) in sigma.members for m in sub):
+    for i in range(lat.n):
+        if ann[i] in members:
             acc = lat.sum(acc, i)
     return lat.submodules[acc]
 

@@ -226,25 +226,14 @@ def _horizon(container: MonomialIdeal, fam: TailFamily) -> int:
     return max(out, fam.base.max_var(), fam.start)
 
 
-def _uniform_divisor_exists(container: MonomialIdeal, base: Monomial) -> bool:
-    """A divisor of `base` inside the container, valid at every tail variable."""
-    if any(g.divides(base) for g in container.gens):
-        return True
-    for fam in container.families:
-        for w in base.support:
-            if fam.aligned(w) and fam.instance(w).divides(base):
-                return True
-    return False
-
-
 def contains(big: MonomialIdeal, small: MonomialIdeal) -> bool:
     """Exact containment test; both ideals must satisfy the tail discipline.
 
     Finite generators are checked by membership.  For each family of the
     small ideal, instances up to a horizon are checked directly; beyond it,
-    absorption needs either a uniform divisor of the family base or aligned
-    families of the big ideal covering the progression, which is periodic
-    and checked over one full period.
+    absorption needs either the family base itself in the big ideal or
+    aligned families of the big ideal covering the progression, which is
+    periodic and checked over one full period.
     """
     big.validate()
     small.validate()
@@ -257,7 +246,7 @@ def contains(big: MonomialIdeal, small: MonomialIdeal) -> bool:
             if not member(big, fam.instance(v)):
                 return False
             v += fam.step
-        if _uniform_divisor_exists(big, fam.base):
+        if member(big, fam.base):
             continue
         covering = [
             other

@@ -528,13 +528,12 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
             else:
                 # generator-level containment; exact since H is a submodule
                 h_span = span(module, cert.subobject_generators)
+                h_gens = minimal_generators(cert.filter_ideal)
                 ok = (
                     cert.filter_ideal in sigma.members
                     and h_span <= sub
                     and all(
-                        module.scalar(g, n) in h_span
-                        for n in sub
-                        for g in minimal_generators(cert.filter_ideal)
+                        module.scalar(g, n) in h_span for n in sub for g in h_gens
                     )
                 )
                 reason = None if ok else "generator containment failed"

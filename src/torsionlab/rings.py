@@ -462,21 +462,16 @@ def ideal_intersect(i: Ideal, j: Ideal) -> Ideal:
 
 
 def colon_element(i: Ideal, b: int) -> Ideal:
-    """The ideal (i : b) = {a : a*b in i}."""
-    r = i.ring
-    return Ideal(r, frozenset(a for a in range(r.size) if r.mul(a, b) in i.elements))
+    """The ideal (i : b) = {a : a*b in i}, read off the lattice's colon row of i."""
+    lat = ideal_lattice(i.ring)
+    return lat.ideals[lat.colon_row(lat.idx(i))[b]]
 
 
 def colon(i: Ideal, j: Ideal) -> Ideal:
-    """The ideal quotient (i : j) = {a : a*j <= i}."""
+    """The ideal quotient (i : j) = {a : a*j <= i}, read off the colon matrix."""
     _same_ring(i, j)
-    r = i.ring
-    out = frozenset(range(r.size))
-    for b in j.elements:
-        out &= colon_element(i, b).elements
-        if len(out) == 1:
-            break
-    return Ideal(r, out)
+    lat = ideal_lattice(i.ring)
+    return lat.ideals[lat.pair_colon(lat.idx(i), lat.idx(j))]
 
 
 def annihilator(i: Ideal) -> Ideal:

@@ -9,6 +9,16 @@ import jsonschema
 import pytest
 
 from torsionlab.cli import execute, main, render_json
+from torsionlab.filters import closure, enumerate_gabriel_filters, is_closed, is_dense
+from torsionlab.modules import free_module
+from torsionlab.rings import (
+    build_ring,
+    ideal_from_generators,
+    minimal_generators,
+    principal_ideal,
+    ring_catalog,
+)
+
 
 def write_spec(tmp_path, doc, name="spec.json"):
     path = tmp_path / name
@@ -76,6 +86,34 @@ def test_execute_closure():
     assert report["results"]["closure_elements"] == [0, 2, 4, 6, 8, 10]
     assert not report["results"]["is_closed"]
     check_report(report)
+
+
+def test_closure_task_matches_module_closure():
+    # the closure task reads the ideal lattice; the element-level closure of
+    # the ideal as a submodule of A must give the same report fields
+    cases = 0
+    for term in ring_catalog(12):
+        ring = build_ring(term)
+        carrier = free_module(ring, 1)
+        principals = {principal_ideal(ring, x).elements: x for x in range(ring.size)}
+        for sigma in enumerate_gabriel_filters(ring):
+            seeds = [list(minimal_generators(b)) for b in sigma.basis]
+            for sub, x in principals.items():
+                doc = {
+                    "task": "closure",
+                    "ring": term,
+                    "filter": {"seeds": seeds},
+                    "params": {"ideal_gens": [x]},
+                }
+                results = execute(doc)[0]["results"]
+                closed = closure(carrier, sub, sigma)
+                assert results["filter"] == sigma.label
+                assert results["closure"] == ideal_from_generators(ring, sorted(closed)).label
+                assert results["closure_elements"] == sorted(closed)
+                assert results["is_closed"] == is_closed(carrier, sub, sigma)
+                assert results["is_dense"] == is_dense(carrier, sub, sigma)
+                cases += 1
+    assert cases == 442
 
 
 def test_execute_certify():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from torsionlab.errors import (
@@ -35,12 +37,14 @@ from torsionlab.filters import (
 )
 from torsionlab.modules import free_module
 from torsionlab.rings import (
+    build_ring,
     enumerate_ideals,
     ideal_from_generators,
     identity_map,
     local_decomposition,
     localize_at_prime,
     quotient_ring,
+    ring_catalog,
     unit_ideal,
     zmod,
 )
@@ -99,6 +103,24 @@ def test_gabriel_closure_examples(z12):
     full = gabriel_closure(z12, [ideal_of(z12, 6)])
     assert len(full.members) == 6
     assert members_of(gabriel_closure(z12, [])) == {frozenset(range(12))}
+
+
+def test_gabriel_closure_matches_subset_scan():
+    # every seed pair of every size <= 12 catalog ring: the closure is the
+    # least filter containing both seeds among all filters the raw subset
+    # scan finds
+    cases = 0
+    for term in ring_catalog(12):
+        ring = build_ring(term)
+        ideals = enumerate_ideals(ring)
+        scanned = gabriel_filters_by_subset_scan(ring, list(ideals))
+        for a, b in combinations_with_replacement(ideals, 2):
+            over = [f for f in scanned if a.elements in f and b.elements in f]
+            least = min(over, key=len)
+            assert all(least <= f for f in over)
+            assert members_of(gabriel_closure(ring, [a, b])) == least, (ring.label, a, b)
+            cases += 1
+    assert cases == 320
 
 
 def test_filter_from_mult_set(z12):

@@ -282,7 +282,22 @@ def test_ideal_list_closed_under_arithmetic(n):
             assert ideal_sum(i, j).elements in sets
             assert ideal_product(i, j).elements in sets
             assert ideal_intersect(i, j).elements in sets
-            assert colon(i, j).elements in sets
+            assert colon(i, j).elements == colon_by_scan(r, i.elements, j.elements)
+
+
+@pytest.mark.parametrize("term", ring_catalog(8), ids=lambda t: build_ring(t).label)
+def test_colons_match_scan_on_catalog(term):
+    # colon, colon_element and annihilator read the ideal lattice's tables;
+    # the oracle multiplies out every pair of elements
+    r = build_ring(term)
+    ideals = enumerate_ideals(r)
+    zero = frozenset({r.zero})
+    for i in ideals:
+        assert annihilator(i).elements == colon_by_scan(r, zero, i.elements)
+        for b in range(r.size):
+            assert colon_element(i, b).elements == colon_by_scan(r, i.elements, frozenset({b}))
+        for j in ideals:
+            assert colon(i, j).elements == colon_by_scan(r, i.elements, j.elements)
 
 
 def test_principal_ideal_cached(z12):
