@@ -21,6 +21,7 @@ Layers:
 """
 
 from .errors import (
+    InvalidArgument,
     InvalidModulus,
     NonMonicPolynomial,
     NotAscending,

@@ -8,7 +8,9 @@ across runs for a fixed spec and tool version, so timing is reported only
 in text mode.
 
 Exit codes: 0 on success, 1 on a theorem-suite counterexample or, under
---expect-pass, on any refuted or exhausted decision, 2 on input errors.
+--expect-pass, on any refuted or exhausted decision, 2 on input errors
+(a :class:`WorkbenchError`).  Any other exception is a bug and propagates
+with its traceback.
 """
 
 from __future__ import annotations
@@ -482,9 +484,6 @@ def main(argv=None) -> int:
         )
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
-        print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2
     fmt = args.format or report["spec_echo"].get("format") or "text"
     elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -5,6 +5,11 @@ class WorkbenchError(Exception):
     """Base class for all workbench failures."""
 
 
+class InvalidArgument(WorkbenchError, ValueError):
+    """An argument lies outside the operation's domain, such as an element
+    index past the carrier or an empty variable pattern."""
+
+
 class SizeCapExceeded(WorkbenchError):
     """A construction would exceed the configured carrier size cap."""
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    InvalidArgument,
     NotASubmodule,
     NotMultiplicativelyClosed,
     NotPrime,
@@ -187,7 +188,7 @@ def filter_from_mult_set(ring: FiniteRing, mult_set: Iterable[int]) -> GabrielFi
     sigma = sorted(set(mult_set))
     for s in sigma:
         if not (0 <= s < ring.size):
-            raise ValueError(f"{s} is not an element of {ring.label}")
+            raise InvalidArgument(f"{s} is not an element of {ring.label}")
     if ring.one not in sigma:
         raise NotMultiplicativelyClosed("the set does not contain 1")
     for s in sigma:

@@ -26,7 +26,6 @@ from .rings import (
     _Rows,
     _subgroup_sum,
     ideal_lattice,
-    primitive_idempotents,
 )
 
 FREE_CARRIER_CAP = 4096
@@ -98,10 +97,6 @@ class FiniteModule:
 
     def scalar(self, a: int, i: int) -> int:
         return self._coset_of[_vec_scale(self.ring, a, self.reps[i])]
-
-    def neg_elem(self, i: int) -> int:
-        ring = self.ring
-        return self._coset_of[tuple(ring.neg(x) for x in self.reps[i])]
 
     def elem_label(self, i: int) -> str:
         ring = self.ring
@@ -247,9 +242,9 @@ def span(module: FiniteModule, gens: Iterable[int]) -> frozenset:
 class SubmoduleLattice(SubobjectLattice):
     """All submodules of a module, on the module's addition and orbit rows.
 
-    Enumeration goes through the primitive-idempotent decomposition of the
-    base ring when it splits (submodules are then componentwise sums), and
-    through a join-closure search over cyclic submodules otherwise.
+    The engine enumerates them as it enumerates ideals: through the
+    primitive-idempotent split of the base ring, one join closure per
+    component.
     """
 
     def __init__(self, module: FiniteModule):
@@ -259,23 +254,6 @@ class SubmoduleLattice(SubobjectLattice):
             ideal_lattice(module.ring),
         )
         self.submodules = self.sets
-
-    def _enumerate(self) -> set[frozenset]:
-        module = self.module
-        atoms = primitive_idempotents(module.ring)
-        if len(atoms) == 1:
-            return super()._enumerate()
-        partial: list[frozenset] = [frozenset({module.zero})]
-        orbit = self._orbit
-        for e in atoms:
-            component = frozenset(orbit[m][e] for m in module.all_indices())
-            component_subs = self._join_closure(component)
-            partial = [
-                _subgroup_sum(self._add, left, right)
-                for left in partial
-                for right in component_subs
-            ]
-        return set(partial)
 
 
 def submodule_lattice(module: FiniteModule) -> SubmoduleLattice:

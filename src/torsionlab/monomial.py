@@ -7,20 +7,24 @@ variable of the base and of the finite generators) keeps membership,
 containment and finiteness decisions exactly decidable: beyond a computed
 horizon a family instance b*x_v^e can only be divided by something that
 divides b, or by another family instance aligned at the same v, and both
-tests are finite.
+tests are finite.  Whatever moves a tail past a floor (scaling, saturation,
+variable primes, the containment horizon, refutation witnesses) uses one
+restart rule, :meth:`TailFamily.peel`: the instances up to the floor become
+finite generators and the family restarts at its first aligned variable past it.
 
 The multiplicative sets here are the powers of a single monomial s; the
 saturation of an ideal by s is obtained by zeroing the s-supported
-exponents of the generators.
+exponents of the generators.  Filter membership and the finiteness
+decisions read which finite candidates divide base*s^n from :func:`_absorbers`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, gcd
 from typing import Iterable, Mapping, Sequence
 
-from .errors import TailDisciplineViolation, TheoremViolation
+from .errors import InvalidArgument, TailDisciplineViolation, TheoremViolation
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,13 @@ class TailFamily:
     def instance(self, var: int) -> Monomial:
         return self.base.mul(Monomial.variable(var, self.exponent))
 
+    def peel(self, floor: int) -> tuple[list[Monomial], "TailFamily"]:
+        """The instances at aligned variables up to floor, and the family
+        restarted at the first aligned variable past floor."""
+        count = max(0, (floor - self.start) // self.step + 1)
+        peeled = [self.instance(self.start + k * self.step) for k in range(count)]
+        return peeled, replace(self, start=self.start + count * self.step)
+
     @property
     def label(self) -> str:
         head = "" if self.base.is_unit() else f"{self.base.label}*"
@@ -142,9 +153,6 @@ class MonomialIdeal:
                     f"family {fam.label}: start must exceed every variable of the "
                     f"base and of the finite generators"
                 )
-
-    def is_zero(self) -> bool:
-        return not self.gens and not self.families
 
     def max_mentioned_var(self) -> int:
         out = max((g.max_var() for g in self.gens), default=0)
@@ -178,6 +186,19 @@ def monomial_ideal(
         if not any(g.divides(fam.base) for g in kept):
             families_out.append(fam)
     return MonomialIdeal(tuple(kept), tuple(families_out))
+
+
+def _peeled_ideal(
+    gens: Iterable[Monomial], families: Iterable[TailFamily], floor: int
+) -> MonomialIdeal:
+    """The ideal of the generators and families, each family peeled at floor."""
+    gens = list(gens)
+    rests = []
+    for fam in families:
+        peeled, rest = fam.peel(floor)
+        gens += peeled
+        rests.append(rest)
+    return monomial_ideal(gens, rests)
 
 
 @dataclass(frozen=True)
@@ -221,11 +242,6 @@ def member(ideal: MonomialIdeal, m: Monomial) -> bool:
     return False
 
 
-def _horizon(container: MonomialIdeal, fam: TailFamily) -> int:
-    out = container.max_mentioned_var()
-    return max(out, fam.base.max_var(), fam.start)
-
-
 def contains(big: MonomialIdeal, small: MonomialIdeal) -> bool:
     """Exact containment test; both ideals must satisfy the tail discipline.
 
@@ -240,12 +256,9 @@ def contains(big: MonomialIdeal, small: MonomialIdeal) -> bool:
     if not all(member(big, g) for g in small.gens):
         return False
     for fam in small.families:
-        horizon = max(_horizon(big, fam), fam.base.max_var())
-        v = fam.start
-        while v <= horizon:
-            if not member(big, fam.instance(v)):
-                return False
-            v += fam.step
+        peeled, rest = fam.peel(max(big.max_mentioned_var(), fam.base.max_var(), fam.start))
+        if not all(member(big, g) for g in peeled):
+            return False
         if member(big, fam.base):
             continue
         covering = [
@@ -259,9 +272,8 @@ def contains(big: MonomialIdeal, small: MonomialIdeal) -> bool:
         for other in covering:
             period = period * other.step // gcd(period, other.step)
         window = period // gcd(period, fam.step)
-        first = v
         for i in range(window):
-            candidate = first + i * fam.step
+            candidate = rest.start + i * fam.step
             if not any(other.aligned(candidate) for other in covering):
                 return False
     return True
@@ -276,48 +288,21 @@ def scale(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """
     if m.is_unit():
         return ideal
-    new_gens = [g.mul(m) for g in ideal.gens]
-    floor = m.max_var()
-    for g in new_gens:
-        floor = max(floor, g.max_var())
-    for fam in ideal.families:
-        floor = max(floor, fam.base.mul(m).max_var())
-    new_families = []
-    for fam in ideal.families:
-        new_base = fam.base.mul(m)
-        v = fam.start
-        while v <= floor:
-            new_gens.append(fam.instance(v).mul(m))
-            v += fam.step
-        new_families.append(TailFamily(new_base, v, fam.step, fam.exponent))
-    return monomial_ideal(new_gens, new_families)
+    gens = [g.mul(m) for g in ideal.gens]
+    families = [replace(fam, base=fam.base.mul(m)) for fam in ideal.families]
+    floor = max(
+        [m.max_var()] + [g.max_var() for g in gens] + [f.base.max_var() for f in families]
+    )
+    return _peeled_ideal(gens, families, floor)
 
 
 def in_filter(ideal: MonomialIdeal, mult_set: PrincipalMultSet) -> tuple[bool, int | None]:
     """Whether some power of s lies in the ideal, with the minimal power.
 
     s^n is in the ideal iff some generator with support inside supp(s)
-    divides it; the minimal n comes from the exponent ratios.
+    divides it; these are the candidates that absorb the base 1.
     """
-    s = mult_set.s
-    best: int | None = None
-
-    def consider(g: Monomial) -> None:
-        nonlocal best
-        if not g.support <= s.support:
-            return
-        need = 0
-        for v, e in g.exps:
-            need = max(need, ceil(e / s.exp(v)))
-        if best is None or need < best:
-            best = need
-
-    for g in ideal.gens:
-        consider(g)
-    for fam in ideal.families:
-        for v in s.support:
-            if fam.aligned(v):
-                consider(fam.instance(v))
+    best = min((n for n, _ in _absorbers(ideal, Monomial.one(), mult_set.s)), default=None)
     return best is not None, best
 
 
@@ -340,45 +325,39 @@ def saturation(ideal: MonomialIdeal, mult_set: PrincipalMultSet) -> MonomialIdea
         if any(fam.aligned(v) for v in s_vars):
             gens.append(zeroed)
         else:
-            tails.append(TailFamily(zeroed, fam.start, fam.step, fam.exponent))
+            tails.append(replace(fam, base=zeroed))
     # a peeled instance never mentions a variable past finite_max, so one
     # pass leaves every start beyond every finite variable
     finite_max = max((g.max_var() for g in gens), default=0)
-    families = []
-    for fam in tails:
-        start = fam.start
-        while start <= finite_max:
-            gens.append(fam.instance(start))
-            start += fam.step
-        families.append(TailFamily(fam.base, start, fam.step, fam.exponent))
-    return monomial_ideal(gens, families)
+    return _peeled_ideal(gens, tails, finite_max)
 
 
-def _family_candidates(
-    ideal: MonomialIdeal, fam: TailFamily, s: Monomial
-) -> list[Monomial]:
-    """Finite divisor candidates for the scaled tail of one family."""
-    out = list(ideal.gens)
-    spots = fam.base.support | s.support
-    for other in ideal.families:
-        for w in sorted(spots):
-            if other.aligned(w):
-                out.append(other.instance(w))
+def _absorbers(
+    ideal: MonomialIdeal, base: Monomial, s: Monomial
+) -> list[tuple[int, Monomial]]:
+    """(least n, c) for every finite candidate c that divides base*s^n for some n.
+
+    The candidates are the finite generators and the family instances at
+    variables inside supp(base) or supp(s); an instance at any other
+    variable divides no base*s^n.
+    """
+    spots = sorted(base.support | s.support)
+    candidates = list(ideal.gens) + [
+        fam.instance(w) for fam in ideal.families for w in spots if fam.aligned(w)
+    ]
+    out = []
+    for c in candidates:
+        need = 0
+        for v, e in c.exps:
+            short = e - base.exp(v)
+            if short > 0:
+                boost = s.exp(v)
+                if not boost:
+                    break
+                need = max(need, ceil(short / boost))
+        else:
+            out.append((need, c))
     return out
-
-
-def _absorbing_power(candidate: Monomial, base: Monomial, s: Monomial) -> int | None:
-    """Minimal n with candidate | base*s^n, or None."""
-    need = 0
-    for v, e in candidate.exps:
-        have = base.exp(v)
-        if have >= e:
-            continue
-        boost = s.exp(v)
-        if boost == 0:
-            return None
-        need = max(need, ceil((e - have) / boost))
-    return need
 
 
 def s_finite_decide(
@@ -398,16 +377,9 @@ def s_finite_decide(
     s = mult_set.s
     chosen: list[Monomial] = []
     power = 0
-    for k, fam in enumerate(ideal.families):
-        best: tuple[int, tuple, Monomial] | None = None
-        for candidate in _family_candidates(ideal, fam, s):
-            need = _absorbing_power(candidate, fam.base, s)
-            if need is None:
-                continue
-            key = (need, candidate.sort_key(), candidate)
-            if best is None or key[:2] < best[:2]:
-                best = key
-        if best is None:
+    for fam in ideal.families:
+        absorbers = _absorbers(ideal, fam.base, s)
+        if not absorbers:
             return Decision(
                 verdict="refuted",
                 reason=(
@@ -415,8 +387,9 @@ def s_finite_decide(
                     f"divides {fam.base.label}*{s.label}^n for any n"
                 ),
             )
-        chosen.append(best[2])
-        power = max(power, best[0])
+        need, best = min(absorbers, key=lambda nc: (nc[0], nc[1].sort_key()))
+        chosen.append(best)
+        power = max(power, need)
     prefix_ideal = monomial_ideal(tuple(ideal.gens) + tuple(chosen))
     prefix = prefix_ideal.gens
     if not all(member(ideal, p) for p in prefix):
@@ -443,29 +416,23 @@ def refutation_witnesses(
     refuting = None
     absorbed: list[Monomial] = []
     for fam in ideal.families:
-        candidates = [
-            c
-            for c in _family_candidates(ideal, fam, s)
-            if _absorbing_power(c, fam.base, s) is not None
-        ]
-        if candidates:
-            absorbed.extend(candidates)
+        absorbers = _absorbers(ideal, fam.base, s)
+        if absorbers:
+            absorbed.extend(c for _, c in absorbers)
         elif refuting is None:
             refuting = fam
     if refuting is None:
         raise ValueError("ideal is not refuted: every family is absorbable")
     prefix = monomial_ideal(tuple(ideal.gens) + tuple(absorbed))
     beyond = max(
-        prefix.gens and max(g.max_var() for g in prefix.gens) or 0,
+        max((g.max_var() for g in prefix.gens), default=0),
         ideal.max_mentioned_var(),
         s.max_var(),
     )
     out = []
     for n in powers:
-        var = refuting.start
-        while var <= beyond + n * refuting.step:
-            var += refuting.step
-        witness = refuting.instance(var).mul(s.power(n))
+        _, rest = refuting.peel(beyond + n * refuting.step)
+        witness = rest.instance(rest.start).mul(s.power(n))
         if member(prefix, witness):
             raise TheoremViolation("refutation witness unexpectedly absorbed")
         out.append((n, witness))
@@ -497,20 +464,11 @@ class VariablePattern:
 
     def to_ideal(self, exponent: int = 1) -> MonomialIdeal:
         """The ideal generated by x_v^exponent over the pattern, disciplined."""
-        gens = []
-        families = []
+        gens = [Monomial.variable(i, exponent) for i in sorted(self.finite)]
+        tails = []
         if self.tail_start is not None:
-            floor = max(self.finite, default=0)
-            v = self.tail_start
-            while v <= floor:
-                gens.append(Monomial.variable(v, exponent))
-                v += self.tail_step
-            families.append(
-                TailFamily(Monomial.one(), v, self.tail_step, exponent)
-            )
-        for i in sorted(self.finite):
-            gens.append(Monomial.variable(i, exponent))
-        return monomial_ideal(gens, families)
+            tails.append(TailFamily(Monomial.one(), self.tail_start, self.tail_step, exponent))
+        return _peeled_ideal(gens, tails, max(self.finite, default=0))
 
     @property
     def label(self) -> str:
@@ -526,7 +484,7 @@ def classify_prime(pattern: VariablePattern, mult_set: PrincipalMultSet) -> str:
     The prime contains a power of s iff s uses one of its variables.
     """
     if pattern.is_empty():
-        raise ValueError("variable pattern must be nonempty")
+        raise InvalidArgument("variable pattern must be nonempty")
     s = mult_set.s
     return "Z" if any(pattern.contains_var(v) for v in s.support) else "K"
 

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .filters import (
     GabrielFilter,
+    _require_same_ring,
     filter_from_prime,
     ideal_closure,
     induced_filter,
@@ -67,11 +68,6 @@ class ChainStability:
     h: Ideal
 
 
-def _require_module_filter(module: FiniteModule, sigma: GabrielFilter) -> None:
-    if module.ring is not sigma.ring:
-        raise RingMismatch("module and filter live over different rings")
-
-
 def tfg_certificate(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) -> Certificate:
     """Canonical certificate for a submodule.
 
@@ -80,7 +76,7 @@ def tfg_certificate(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) 
     h and on the generators.  h is always the full colon (H : N): any valid
     filter ideal sits inside it, so it is the coarsest witness.
     """
-    _require_module_filter(module, sigma)
+    _require_same_ring(module, sigma)
     lat = submodule_lattice(module)
     rl = lat.ring_lattice
     members = sigma.member_indices()
@@ -116,7 +112,7 @@ def verify_certificate(
     module: FiniteModule, sub: frozenset, sigma: GabrielFilter, cert: Certificate
 ) -> tuple[bool, str | None]:
     """Recheck a certificate exhaustively; on failure name the first bad condition."""
-    _require_module_filter(module, sigma)
+    _require_same_ring(module, sigma)
     if cert.filter_ideal not in sigma.members:
         return False, "h not in filter"
     if cert.kind == "totally_principal" and len(cert.subobject_generators) > 1:
@@ -139,7 +135,7 @@ def totally_torsion_certificate(
     The annihilator is the largest ideal killing N, so the submodule is
     totally torsion iff this certificate exists.
     """
-    _require_module_filter(module, sigma)
+    _require_same_ring(module, sigma)
     lat = submodule_lattice(module)
     ideal = lat.ring_lattice.ideals[lat.pair_colon(lat.zero, lat.idx(sub))]
     if ideal not in sigma.members:
@@ -158,7 +154,7 @@ def closure_colon_witness(
     Searched from the coarsest member down; on finite carriers the witness
     always exists, so coming up empty raises with a full dump.
     """
-    _require_module_filter(module, sigma)
+    _require_same_ring(module, sigma)
     if not is_submodule(module, sub):
         raise NotASubmodule("witness search input is not a submodule")
     lat = submodule_lattice(module)
@@ -202,7 +198,7 @@ def sigma_maximal(
     For each qualifying N the returned h is the largest valid one: the
     intersection of the colons (N : H) over all family members H >= N.
     """
-    _require_module_filter(module, sigma)
+    _require_same_ring(module, sigma)
     if not family:
         raise ValueError("family must be nonempty")
     lat = submodule_lattice(module)
@@ -236,7 +232,7 @@ def upper_closure(
     module: FiniteModule, family: Sequence[frozenset], sigma: GabrielFilter
 ) -> tuple[frozenset, ...]:
     """All submodules H with H*h <= N for some family member N and filter ideal h."""
-    _require_module_filter(module, sigma)
+    _require_same_ring(module, sigma)
     lat = submodule_lattice(module)
     idxs = [lat.idx(s) for s in family]
     return tuple(
@@ -262,7 +258,7 @@ def is_upper_closed(
 def unique_maximal_check(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) -> bool:
     """Biconditional: the upper closure of {N} has one maximal element iff
     the closure of N belongs to it.  Always true; a mismatch raises."""
-    _require_module_filter(module, sigma)
+    _require_same_ring(module, sigma)
     lat = submodule_lattice(module)
     members = sigma.member_indices()
     n_idx = lat.idx(sub)
@@ -281,7 +277,7 @@ def chain_stability(
     module: FiniteModule, chain: Sequence[frozenset], sigma: GabrielFilter
 ) -> ChainStability:
     """Smallest pivot m, then largest h, with N_s*h <= N_m for all s >= m."""
-    _require_module_filter(module, sigma)
+    _require_same_ring(module, sigma)
     if not chain:
         raise NotAscending("empty chain")
     for a, b in zip(chain, chain[1:]):
@@ -309,7 +305,7 @@ def quotient_transfer_check(
     survives to the image pair in M/T with the same h; backward, stability
     of the image pair composed with an ideal killing T comes back down.
     """
-    _require_module_filter(module, sigma)
+    _require_same_ring(module, sigma)
     lat = submodule_lattice(module)
     rl = lat.ring_lattice
     members = sigma.member_indices()

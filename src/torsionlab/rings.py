@@ -28,6 +28,7 @@ from itertools import compress
 from typing import Collection, Iterable, Sequence
 
 from .errors import (
+    InvalidArgument,
     InvalidModulus,
     NonMonicPolynomial,
     NotPrime,
@@ -150,6 +151,22 @@ def product_ring(left: FiniteRing, right: FiniteRing, cap: int = DEFAULT_SIZE_CA
     )
 
 
+def _digits(i: int, p: int, d: int) -> tuple[int, ...]:
+    """The d base-p digits of i, least significant first."""
+    out = []
+    for _ in range(d):
+        i, r = divmod(i, p)
+        out.append(r)
+    return tuple(out)
+
+
+def _undigits(vec: Sequence[int], p: int) -> int:
+    acc = 0
+    for c in reversed(vec):
+        acc = acc * p + c
+    return acc
+
+
 def _poly_label(coeffs: Sequence[int], var: str = "x") -> str:
     parts = []
     for i in range(len(coeffs) - 1, -1, -1):
@@ -178,19 +195,6 @@ def poly_quotient(p: int, coeffs: Sequence[int], cap: int = DEFAULT_SIZE_CAP) ->
     if size > cap:
         raise SizeCapExceeded(f"F_{p}[x]/(f) of size {size} exceeds cap {cap}")
 
-    def digits(i: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(d):
-            i, r = divmod(i, p)
-            out.append(r)
-        return tuple(out)
-
-    def undigits(vec: Sequence[int]) -> int:
-        acc = 0
-        for c in reversed(vec):
-            acc = acc * p + c
-        return acc
-
     # x^k mod f for k < 2d-1, as degree-<d coefficient vectors
     reps: list[list[int]] = []
     cur = [0] * d
@@ -205,12 +209,12 @@ def poly_quotient(p: int, coeffs: Sequence[int], cap: int = DEFAULT_SIZE_CAP) ->
 
     add = [[0] * size for _ in range(size)]
     mul = [[0] * size for _ in range(size)]
-    vecs = [digits(i) for i in range(size)]
+    vecs = [_digits(i, p, d) for i in range(size)]
     for a in range(size):
         va = vecs[a]
         for b in range(size):
             vb = vecs[b]
-            add[a][b] = undigits([(va[j] + vb[j]) % p for j in range(d)])
+            add[a][b] = _undigits([(va[j] + vb[j]) % p for j in range(d)], p)
             conv = [0] * (2 * d - 1)
             for i_, ca in enumerate(va):
                 if ca:
@@ -222,7 +226,7 @@ def poly_quotient(p: int, coeffs: Sequence[int], cap: int = DEFAULT_SIZE_CAP) ->
                 if ck:
                     rep = reps[k]
                     acc = [(acc[j] + ck * rep[j]) % p for j in range(d)]
-            mul[a][b] = undigits(acc)
+            mul[a][b] = _undigits(acc, p)
     labels = [_poly_label(vecs[i]) for i in range(size)]
     return FiniteRing(
         size, add, mul, 1,
@@ -245,32 +249,19 @@ def square_zero(p: int, k: int, cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     if size > cap:
         raise SizeCapExceeded(f"square-zero ring of size {size} exceeds cap {cap}")
 
-    def digits(i: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(k + 1):
-            i, r = divmod(i, p)
-            out.append(r)
-        return tuple(out)
-
-    def undigits(vec: Sequence[int]) -> int:
-        acc = 0
-        for c in reversed(vec):
-            acc = acc * p + c
-        return acc
-
-    vecs = [digits(i) for i in range(size)]
+    vecs = [_digits(i, p, k + 1) for i in range(size)]
     add = [[0] * size for _ in range(size)]
     mul = [[0] * size for _ in range(size)]
     for a in range(size):
         va = vecs[a]
         for b in range(size):
             vb = vecs[b]
-            add[a][b] = undigits([(va[j] + vb[j]) % p for j in range(k + 1)])
+            add[a][b] = _undigits([(va[j] + vb[j]) % p for j in range(k + 1)], p)
             prod = [0] * (k + 1)
             prod[0] = (va[0] * vb[0]) % p
             for j in range(1, k + 1):
                 prod[j] = (va[0] * vb[j] + va[j] * vb[0]) % p
-            mul[a][b] = undigits(prod)
+            mul[a][b] = _undigits(prod, p)
 
     names = [_SQZ_VARS[j] if j < len(_SQZ_VARS) else f"x{j + 1}" for j in range(k)]
 
@@ -361,10 +352,6 @@ class Ideal:
     def sort_key(self) -> tuple:
         return (len(self.elements), tuple(sorted(self.elements)))
 
-    def issubset(self, other: "Ideal") -> bool:
-        _same_ring(self, other)
-        return self.elements <= other.elements
-
     @property
     def label(self) -> str:
         gens = minimal_generators(self)
@@ -436,18 +423,16 @@ def unit_ideal(ring: FiniteRing) -> Ideal:
 
 
 def principal_ideal(ring: FiniteRing, x: int) -> Ideal:
-    cache = ring._cache.setdefault("principal", {})
-    if x not in cache:
-        if not (0 <= x < ring.size):
-            raise ValueError(f"{x} is not an element of {ring.label}")
-        cache[x] = Ideal(ring, ideal_lattice(ring).cyclic(x))
-    return cache[x]
+    if not (0 <= x < ring.size):
+        raise InvalidArgument(f"{x} is not an element of {ring.label}")
+    lat = ideal_lattice(ring)
+    return lat.ideals[lat.index[lat.cyclic(x)]]
 
 
 def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
     _same_ring(i, j)
-    r = i.ring
-    return Ideal(r, _subgroup_sum(r._add, i.elements, j.elements))
+    lat = ideal_lattice(i.ring)
+    return lat.ideals[lat.sum(lat.idx(i), lat.idx(j))]
 
 
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
@@ -458,7 +443,8 @@ def ideal_product(i: Ideal, j: Ideal) -> Ideal:
 
 def ideal_intersect(i: Ideal, j: Ideal) -> Ideal:
     _same_ring(i, j)
-    return Ideal(i.ring, i.elements & j.elements)
+    lat = ideal_lattice(i.ring)
+    return lat.ideals[lat.inter(lat.idx(i), lat.idx(j))]
 
 
 def colon_element(i: Ideal, b: int) -> Ideal:
@@ -526,9 +512,6 @@ class RingMap:
     target: FiniteRing
     mapping: tuple
     kind: str = "map"
-
-    def apply(self, x: int) -> int:
-        return self.mapping[x]
 
     def image_ideal(self, i: Ideal) -> Ideal:
         if i.ring is not self.source:
@@ -703,8 +686,25 @@ class SubobjectLattice:
 
     # -- enumeration ---------------------------------------------------------
 
-    def _enumerate(self) -> set[frozenset]:
-        return self._join_closure(range(self.size))
+    def _enumerate(self) -> Collection[frozenset]:
+        """Every sub-object, as the sums of one sub-object per component.
+
+        With primitive idempotents e_1..e_r of the ring, every sub-object
+        splits as N = e_1 N + ... + e_r N, and e N is a sub-object of the
+        component e*carrier.  So the sub-objects are the sums of one
+        sub-object of each component, and each component is enumerated on
+        its own by a join closure.  A local ring has the single idempotent
+        1, and its one component is the whole carrier.
+        """
+        orbit = self._orbit
+        components = [
+            self._join_closure({orbit[x][e] for x in range(self.size)})
+            for e in primitive_idempotents(self.ring)
+        ]
+        subs = components[0]
+        for component in components[1:]:
+            subs = [_subgroup_sum(self._add, left, right) for left in subs for right in component]
+        return subs
 
     def _join_closure(self, scope: Iterable[int]) -> set[frozenset]:
         """Every sub-object generated inside scope: all joins of its cyclic ones."""

@@ -234,6 +234,36 @@ def test_main_expect_pass_on_refuted(tmp_path, capsys):
     assert main(["monomial", "--spec", spec, "--expect-pass"]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("closure", {"ring": {"zmod": 6}, "filter": "lambda", "params": {"ideal_gens": [7]}}),
+        ("partition", {"ring": {"zmod": 6},
+                       "filter": {"prime_complement": {"ideal_gens": [6]}}}),
+        ("partition", {"ring": {"zmod": 6}, "filter": {"seeds": [[2], [8]]}}),
+        ("partition", {"ring": {"zmod": 6}, "filter": {"mult_set": [1, 9]}}),
+        ("monomial", {"params": {"op": "cohen", "mult_set": {"s": {"vars": {"1": 1}}},
+                                 "primes": [{"finite": []}]}}),
+    ],
+)
+def test_main_out_of_range_input_exits_2(tmp_path, capsys, command, doc):
+    # the schema admits these; the ring or the pattern rejects them
+    assert main([command, "--spec", write_spec(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "is not an element of Z/6" in err or "pattern must be nonempty" in err
+
+
+def test_main_internal_error_is_not_input_error(tmp_path, monkeypatch, capsys):
+    def broken(ring, sigma):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("torsionlab.cli.theorem_suite", broken)
+    spec = write_spec(tmp_path, {"ring": {"zmod": 4}, "filter": "lambda"})
+    with pytest.raises(KeyError, match="internal"):
+        main(["suite", "--spec", spec])
+    assert "invalid input" not in capsys.readouterr().err
+
+
 def test_main_cap_flag(tmp_path, capsys):
     spec = write_spec(tmp_path, {"ring": {"zmod": 20}})
     assert main(["census", "--spec", spec, "--cap", "16"]) == 2

@@ -21,6 +21,7 @@ from torsionlab.rings import (
     enumerate_ideals,
     ideal_from_generators,
     ideal_lattice,
+    local_decomposition,
     minimal_generators,
     product_ring,
     ring_catalog,
@@ -191,6 +192,40 @@ def test_element_level_code_builds_no_rows():
         assert is_submodule(m, sub)
         closure(m, sub, lambda_filter(ring))
     assert not m.add_rows and not m.orbit_rows
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_lattice_splits_over_local_factors(rank):
+    # Chinese remainder theorem: over a ring with local factors A_1..A_r, a
+    # submodule of A^rank is determined by its coordinatewise images in the
+    # A_f^rank, and every tuple of submodules of the factors arises.  The
+    # factor lattices are local, so this checks the idempotent split of the
+    # enumeration against the plain join closure.
+    carriers = 0
+    for term in ring_catalog(12):
+        ring = build_ring(term)
+        factors = local_decomposition(ring)
+        if len(factors) < 2:
+            continue
+        carriers += 1
+        module = free_module(ring, rank)
+        lat = submodule_lattice(module)
+        keys = []
+        product = 1
+        for factor, proj in factors:
+            target = free_module(factor, rank)
+            flat = submodule_lattice(target)
+            index_of = {rep: i for i, rep in enumerate(target.reps)}
+            image = [
+                index_of[tuple(proj.mapping[x] for x in rep)] for rep in module.reps
+            ]
+            keys.append(
+                [flat.index[frozenset(image[x] for x in sub)] for sub in lat.submodules]
+            )
+            product *= flat.n
+        # injective, and as many submodules as tuples: a bijection
+        assert len(set(zip(*keys))) == lat.n == product
+    assert carriers == 12
 
 
 def test_lattice_rank_one_product_ring():

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from torsionlab.cli import execute, render_json
 from torsionlab.errors import TailDisciplineViolation
 from torsionlab.monomial import (
     DecisionBudget,
@@ -85,6 +87,25 @@ test_points = st.dictionaries(
     st.integers(min_value=1, max_value=6),
     max_size=5,
 ).map(Monomial.from_mapping)
+
+
+# -- the restart rule ------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(disciplined_ideals(), st.integers(min_value=-2, max_value=MAX_ORACLE_VAR - 1))
+def test_peel_matches_truncate_oracle(ideal, floor):
+    for fam in ideal.families:
+        peeled, rest = fam.peel(floor)
+        assert (rest.base, rest.step, rest.exponent) == (fam.base, fam.step, fam.exponent)
+        # the new start is the first aligned variable past the floor
+        assert fam.aligned(rest.start) and rest.start > floor
+        assert rest.start == fam.start or rest.start - fam.step <= floor
+        whole = MonomialIdeal(families=(fam,))
+        split = MonomialIdeal(gens=tuple(peeled), families=(rest,))
+        assert sorted(truncate(split), key=Monomial.sort_key) == sorted(
+            truncate(whole), key=Monomial.sort_key
+        )
 
 
 # -- membership -------------------------------------------------------------------
@@ -433,3 +454,53 @@ def test_almost_jansian_principal():
     got = almost_jansian_principal(PrincipalMultSet(mono(x1=1)))
     assert not got.holds and got.witness == monomial_ideal([mono(x1=1)])
     assert not almost_jansian_principal(PrincipalMultSet(mono(x1=2, x2=1))).holds
+
+
+# -- pinned reports -------------------------------------------------------------------
+
+
+def pinned_monomial_specs() -> list[dict]:
+    """A fixed grid of monomial-decide documents over all five ops."""
+    monos = [{}, {"1": 1}, {"2": 2}, {"1": 1, "3": 1}, {"3": 2, "4": 1}]
+    gen_lists = [[], [{"1": 2}], [{"1": 1, "2": 3}, {"4": 1}]]
+    ideals = []
+    for gens, base, start, step, e in itertools.product(
+        gen_lists, monos, (2, 4, 5), (1, 2), (1, 2)
+    ):
+        floor = max(int(v) for g in gens + [base, {"0": 1}] for v in g)
+        if start > floor:
+            fam = {"base": {"vars": base}, "start": start, "step": step, "e": e}
+            ideals.append({"gens": [{"vars": g} for g in gens], "families": [fam]})
+    # two tails, the second one starting where the first one's base collapses;
+    # a tail that needs power 9, past the default budget
+    ideals += [
+        {"families": [{"base": {"vars": {}}, "start": 2, "step": 2},
+                      {"base": {"vars": {"2": 1}}, "start": 3}]},
+        {"families": [{"base": {"vars": {"2": 1, "4": 2}}, "start": 5},
+                      {"base": {"vars": {}}, "start": 3, "step": 2}]},
+        {"families": [{"base": {"vars": {}}, "start": 1}]},
+        {"families": [{"base": {"vars": {}}, "start": 1, "e": 9}]},
+    ]
+    patterns = [[{"finite": [1]}, {"finite": [2]}, {"tail": {"start": 2}}],
+                [{"finite": [2, 5], "tail": {"start": 3, "step": 2}}],
+                [{"tail": {"start": 1, "step": 3}}, {"finite": [4]}]]
+    specs = []
+    for s in monos[:4]:
+        mult = {"s": {"vars": s}}
+        for op in ("decide", "saturate", "in_filter"):
+            specs += [{"op": op, "mult_set": mult, "ideal": ideal} for ideal in ideals]
+        specs += [{"op": "cohen", "mult_set": mult, "primes": p} for p in patterns]
+        specs.append({"op": "almost_jansian", "mult_set": mult})
+    return [{"task": "monomial-decide", "params": p, "format": "json"} for p in specs]
+
+
+def test_monomial_reports_are_pinned():
+    # Byte-identity gate for the monomial lab, taken before the restart rule
+    # and the absorption test were each written once.
+    specs = pinned_monomial_specs()
+    assert len(specs) == 1360
+    data = b"".join(render_json(execute(doc)[0]).encode("utf-8") for doc in specs)
+    assert len(data) == 1263931
+    assert hashlib.sha256(data).hexdigest() == (
+        "941efdc21fb7bd11be8831fdfba2fa2164ef247d9f70ff8176e655984a7c517f"
+    )

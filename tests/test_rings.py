@@ -39,6 +39,7 @@ from torsionlab.rings import (
 )
 
 from .helpers import (
+    additive_closure_by_scan,
     all_ideals_by_subset_scan,
     colon_by_scan,
     ideal_by_linear_combinations,
@@ -279,19 +280,22 @@ def test_ideal_list_closed_under_arithmetic(n):
     sets = {i.elements for i in ideals}
     for i in ideals:
         for j in ideals:
-            assert ideal_sum(i, j).elements in sets
+            si, sj = i.elements, j.elements
+            assert ideal_sum(i, j).elements == additive_closure_by_scan(r, si | sj)
             assert ideal_product(i, j).elements in sets
-            assert ideal_intersect(i, j).elements in sets
-            assert colon(i, j).elements == colon_by_scan(r, i.elements, j.elements)
+            assert ideal_intersect(i, j).elements == si & sj
+            assert colon(i, j).elements == colon_by_scan(r, si, sj)
 
 
 @pytest.mark.parametrize("term", ring_catalog(8), ids=lambda t: build_ring(t).label)
 def test_colons_match_scan_on_catalog(term):
-    # colon, colon_element and annihilator read the ideal lattice's tables;
-    # the oracle multiplies out every pair of elements
+    # colon, colon_element, annihilator and principal_ideal read the ideal
+    # lattice's tables; the oracles multiply out every pair of elements
     r = build_ring(term)
     ideals = enumerate_ideals(r)
     zero = frozenset({r.zero})
+    for x in range(r.size):
+        assert principal_ideal(r, x).elements == ideal_by_linear_combinations(r, [x])
     for i in ideals:
         assert annihilator(i).elements == colon_by_scan(r, zero, i.elements)
         for b in range(r.size):
