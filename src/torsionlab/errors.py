@@ -50,8 +50,8 @@ class PreconditionFailed(WorkbenchError):
     """A stated precondition does not hold for the given input."""
 
 
-class TheoremViolation(WorkbenchError):
-    """An exhaustively checkable statement failed: an implementation bug."""
+class TheoremViolation(Exception):
+    """An exhaustively checkable statement failed: a bug, not bad input."""
 
 
 class TailDisciplineViolation(WorkbenchError):

@@ -497,37 +497,41 @@ def torsion_class_report(module: FiniteModule, filters: Sequence[GabrielFilter])
     """Exhaustive torsion/torsionfree class axioms over all subquotients.
 
     Subquotients are the pairs V <= U of submodules.  Whether U/V is torsion
-    or torsionfree depends only on the set of coset annihilators, so pairs
-    are deduplicated by that profile; the checks are still exhaustive
-    because equal profiles force equal verdicts.  Verdicts for all filters
-    are carried as bitmasks so one pass covers every filter.
+    or torsionfree depends only on the set of coset annihilators, so each
+    distinct profile is masked once, when the walk over the pairs first
+    meets it, and the direct-sum checks run over distinct profiles; the
+    checks are still exhaustive because equal profiles force equal verdicts.
+    Verdicts for all filters are carried as bitmasks so one pass covers
+    every filter.
     """
     lat = submodule_lattice(module)
     rl = lat.ring_lattice
-    nf = len(filters)
-    full = (1 << nf) - 1
-    for f in filters:
-        _require_same_ring(module, f)
-    lmask = [0] * rl.n
+    full = (1 << len(filters)) - 1
+    lmask = [0] * rl.n  # bit fi of lmask[a]: ideal a lies in filters[fi]
     for fi, f in enumerate(filters):
-        for a in f.members:
-            lmask[rl.idx(a)] |= 1 << fi
+        _require_same_ring(module, f)
+        for a in f.member_indices():
+            lmask[a] |= 1 << fi
+
+    def verdicts(prof) -> tuple[int, int]:
+        """Masks of the filters holding all of a profile (torsion) and none of it."""
+        tm, tfm = full, full
+        for a in prof:
+            tm &= lmask[a]
+            tfm &= ~lmask[a]
+        return tm, tfm
 
     pairs = lat.inclusion_pairs()
-    profiles: dict[tuple[int, int], frozenset] = {}
-    t_mask: dict[tuple[int, int], int] = {}
-    tf_mask: dict[tuple[int, int], int] = {}
+    # the distinct profiles in order of first appearance, with their masks
+    profile_masks: dict[frozenset, tuple[int, int]] = {}
+    pair_masks: dict[tuple[int, int], tuple[int, int]] = {}
     for v, u in pairs:
         row = lat.colon_row(v)
         sub_v = lat.submodules[v]
         prof = frozenset(row[m] for m in lat.submodules[u] if m not in sub_v)
-        profiles[(v, u)] = prof
-        tm, tfm = full, full
-        for a in prof:
-            tm &= lmask[a]
-            tfm &= full & ~lmask[a]
-        t_mask[(v, u)] = tm
-        tf_mask[(v, u)] = tfm
+        if prof not in profile_masks:
+            profile_masks[prof] = verdicts(prof)
+        pair_masks[(v, u)] = profile_masks[prof]
 
     checks = {
         name: {"instances": 0, "violmask": 0, "witness": None}
@@ -552,56 +556,35 @@ def torsion_class_report(module: FiniteModule, filters: Sequence[GabrielFilter])
 
     for v, w in pairs:
         for u in lat.upset(w):
-            tvw, twu, tvu = t_mask[(v, w)], t_mask[(w, u)], t_mask[(v, u)]
+            (tvw, fvw), (twu, fwu), (tvu, fvu) = (
+                pair_masks[(v, w)], pair_masks[(w, u)], pair_masks[(v, u)]
+            )
             label = f"V={v},W={w},U={u}"
             record("torsion-submodule-closure", tvu & ~tvw & full, label)
             record("torsion-quotient-closure", tvu & ~twu & full, label)
             record("torsion-extension-closure", tvw & twu & ~tvu & full, label)
-            fvw, fwu, fvu = tf_mask[(v, w)], tf_mask[(w, u)], tf_mask[(v, u)]
             record("torsionfree-submodule-closure", fvu & ~fvw & full, label)
             record("torsionfree-extension-closure", fvw & fwu & ~fvu & full, label)
 
-    # direct sums / products via deduplicated annihilator profiles
-    distinct: dict[frozenset, int] = {}
-    reps: list[frozenset] = []
-    for pair in pairs:
-        prof = profiles[pair]
-        if prof not in distinct:
-            distinct[prof] = len(reps)
-            reps.append(prof)
-    masks = []
-    for prof in reps:
-        tm, tfm = full, full
-        for a in prof:
-            tm &= lmask[a]
-            tfm &= full & ~lmask[a]
-        masks.append((tm, tfm))
-    for i, p1 in enumerate(reps):
-        t1, f1 = masks[i]
+    # direct sums / products over the distinct profiles
+    reps = list(profile_masks.items())
+    for i, (p1, (t1, f1)) in enumerate(reps):
         for j in range(i, len(reps)):
-            p2 = reps[j]
-            t2, f2 = masks[j]
-            tsum, fsum = full, full
-            for a in p1:
-                for b in p2:
-                    c = rl.inter(a, b)
-                    tsum &= lmask[c]
-                    fsum &= full & ~lmask[c]
+            p2, (t2, f2) = reps[j]
+            tsum, fsum = verdicts({rl.inter(a, b) for a in p1 for b in p2})
             label = f"profiles {i},{j}"
             record("torsion-direct-sum-closure", t1 & t2 & ~tsum & full, label)
             record("torsionfree-product-closure", f1 & f2 & ~fsum & full, label)
 
     # independent route: the radical computed element by element must vanish
     # exactly on the torsionfree carrier and fill exactly the torsion one
-    top_pair = (lat.zero, lat.top)
+    top_t, top_tf = pair_masks[(lat.zero, lat.top)]
     radical_mismatch = 0
     for fi, f in enumerate(filters):
         radical = torsion_submodule(module, f)
         vanishes = radical == frozenset({module.zero})
         fills = radical == frozenset(module.all_indices())
-        if vanishes != bool(tf_mask[top_pair] & (1 << fi)):
-            radical_mismatch |= 1 << fi
-        if fills != bool(t_mask[top_pair] & (1 << fi)):
+        if vanishes != bool(top_tf >> fi & 1) or fills != bool(top_t >> fi & 1):
             radical_mismatch |= 1 << fi
     record("torsionfree-radical-vanishes", radical_mismatch, module.label)
 

@@ -251,7 +251,7 @@ class SubmoduleLattice(SubobjectLattice):
         self.module = module
         super().__init__(
             module.ring, module.size, module.add_rows, module.orbit_rows,
-            ideal_lattice(module.ring),
+            ideal_lattice(module.ring), f"a submodule of {module.label}",
         )
         self.submodules = self.sets
 

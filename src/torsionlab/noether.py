@@ -8,6 +8,10 @@ over every submodule of the carriers A and A^2, the biconditionals that
 relate certificates, chain stability, maximality, prime criteria and
 localization.  Both sides of every biconditional are computed from the
 definitions; a mismatch means an implementation bug and is reported.
+
+Each public predicate is a thin wrapper over an index-level core on
+(lattice, index, filter member indices); the theorem suite calls the same
+cores, so it checks what the public functions return.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .filters import (
     GabrielFilter,
     _require_same_ring,
     filter_from_prime,
-    ideal_closure,
+    ideal_closure,  # unused here; perfbench/spans.py binds noether.ideal_closure
     induced_filter,
     jansian_status,
     meet_decomposition_check,
@@ -47,7 +51,6 @@ from .rings import (
     local_decomposition,
     minimal_generators,
     prime_spectrum,
-    principal_ideal,
 )
 
 
@@ -78,13 +81,15 @@ def tfg_certificate(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) 
     """
     _require_same_ring(module, sigma)
     lat = submodule_lattice(module)
-    rl = lat.ring_lattice
-    members = sigma.member_indices()
-    n_idx = lat.idx(sub)
+    h_idx, colon_idx = _tfg_certificate(lat, lat.idx(sub), sigma.member_indices())
+    return Certificate("totally_fg", lat.min_gens(h_idx), lat.ring_lattice.ideals[colon_idx])
+
+
+def _tfg_certificate(lat, n_idx: int, members: frozenset) -> tuple[int, int]:
+    """(H, (H : N)) as indices for the canonical certificate of N_n."""
     cm = lat.colon_matrix()
     up = lat.up_masks()
     best_key = None
-    best = None
     # a sub-object inside N_n has an index no larger than n
     for h_idx in range(n_idx + 1):
         if not up[h_idx] >> n_idx & 1:
@@ -93,19 +98,13 @@ def tfg_certificate(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) 
         if colon_idx not in members:
             continue
         gens = lat.min_gens(h_idx)
-        h_ideal = rl.ideals[colon_idx]
-        key = (
-            len(gens),
-            -len(h_ideal.elements),
-            tuple(sorted(h_ideal.elements)),
-            gens,
-        )
+        # ring-lattice indices follow Ideal.sort_key: equal-size colons compare as h does
+        key = (len(gens), -len(lat.ring_lattice.sets[colon_idx]), colon_idx, gens, h_idx)
         if best_key is None or key < best_key:
             best_key = key
-            best = Certificate("totally_fg", gens, h_ideal)
-    if best is None:  # finite carrier: H = N with h = (1) always qualifies
-        raise TheoremViolation(f"no certificate for submodule of {module.label}")
-    return best
+    if best_key is None:  # finite carrier: H = N with h = (1) always qualifies
+        raise TheoremViolation(f"no certificate for submodule {n_idx} of {lat.module.label}")
+    return best_key[-1], best_key[2]
 
 
 def verify_certificate(
@@ -135,15 +134,23 @@ def totally_torsion_certificate(
     The annihilator is the largest ideal killing N, so the submodule is
     totally torsion iff this certificate exists.
     """
+    lat, _, _, ann = _totally_torsion(module, sub, sigma)
+    return Certificate("totally_torsion", (), lat.ring_lattice.ideals[ann])
+
+
+def _totally_torsion(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) -> tuple:
+    """(lattice, N, members, (0 : N)) as indices; (0 : N) must lie in the filter."""
     _require_same_ring(module, sigma)
     lat = submodule_lattice(module)
-    ideal = lat.ring_lattice.ideals[lat.pair_colon(lat.zero, lat.idx(sub))]
-    if ideal not in sigma.members:
+    members = sigma.member_indices()
+    n_idx = lat.idx(sub)
+    ann = lat.pair_colon(lat.zero, n_idx)
+    if ann not in members:
         raise PreconditionFailed(
-            f"submodule is not totally torsion: annihilator {ideal.label} "
-            f"outside {sigma.label}"
+            f"submodule is not totally torsion: annihilator "
+            f"{lat.ring_lattice.ideals[ann].label} outside {sigma.label}"
         )
-    return Certificate("totally_torsion", (), ideal)
+    return lat, n_idx, members, ann
 
 
 def closure_colon_witness(
@@ -305,17 +312,14 @@ def quotient_transfer_check(
     survives to the image pair in M/T with the same h; backward, stability
     of the image pair composed with an ideal killing T comes back down.
     """
-    _require_same_ring(module, sigma)
-    lat = submodule_lattice(module)
+    lat, t_idx, members, _ = _totally_torsion(module, t_sub, sigma)
+    return _quotient_transfer(lat, t_idx, members)
+
+
+def _quotient_transfer(lat, t_idx: int, members: frozenset) -> bool:
+    """The transfer check for T = N_t, whose annihilator lies in the filter."""
     rl = lat.ring_lattice
-    members = sigma.member_indices()
-    t_idx = lat.idx(t_sub)
     ann = lat.pair_colon(lat.zero, t_idx)
-    if ann not in members:
-        raise PreconditionFailed(
-            f"T is not totally torsion: annihilator {rl.ideals[ann].label} "
-            f"outside {sigma.label}"
-        )
     cm = lat.colon_matrix()
     up = rl.up_masks()
     in_filter = [a in members for a in range(rl.n)]
@@ -355,26 +359,30 @@ def sigma_principal_status(ideal: Ideal, sigma: GabrielFilter) -> SigmaPrincipal
     """
     if ideal.ring is not sigma.ring:
         raise RingMismatch("ideal and filter live over different rings")
-    ring = ideal.ring
-    target = ideal_closure(ideal, sigma).elements
-    witness = None
-    for a in sorted(ideal.elements):
-        if ideal_closure(principal_ideal(ring, a), sigma).elements == target:
-            witness = a
-            break
-    cert = None
-    rl = ideal_lattice(ring)
+    rl = ideal_lattice(ideal.ring)
     members = sigma.member_indices()
-    for a in sorted(ideal.elements):
-        h_idx = rl.pair_colon(rl.idx(principal_ideal(ring, a)), rl.idx(ideal))
-        if h_idx in members:
-            cert = Certificate("totally_principal", (a,), rl.ideals[h_idx])
-            break
-    return SigmaPrincipalStatus(
-        sigma_principal=witness is not None,
-        witness=witness,
-        totally_principal=cert,
-    )
+    witness, cert = _sigma_principal(rl, rl.idx(ideal), members, _principal_indices(rl))
+    if cert is not None:
+        cert = Certificate("totally_principal", (cert[0],), rl.ideals[cert[1]])
+    return SigmaPrincipalStatus(witness is not None, witness, cert)
+
+
+def _principal_indices(rl) -> list[int]:
+    """Ring-lattice index of the principal ideal aA, for each element a."""
+    return [rl.index[rl.cyclic(a)] for a in range(rl.size)]
+
+
+def _sigma_principal(
+    rl, i_idx: int, members: frozenset, principal: Sequence[int]
+) -> tuple[int | None, tuple[int, int] | None]:
+    """For I = rl.ideals[i]: the first a in I whose principal ideal has the
+    closure of I, and the first (a, h) with h = (aA : I) in the filter;
+    principal[a] is the index of aA."""
+    elements = sorted(rl.sets[i_idx])
+    closure = rl.closure(i_idx, members)
+    witness = next((a for a in elements if rl.closure(principal[a], members) == closure), None)
+    colons = ((a, rl.pair_colon(principal[a], i_idx)) for a in elements)
+    return witness, next((pair for pair in colons if pair[1] in members), None)
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +524,10 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
 
         # certificates exist canonically and re-verify
         t = tallies["certificates-verify"]
-        for s_idx in range(lat.n):
+        certificates = [_tfg_certificate(lat, s_idx, members) for s_idx in range(lat.n)]
+        for s_idx, (h_idx, colon_idx) in enumerate(certificates):
             sub = lat.submodules[s_idx]
-            cert = tfg_certificate(module, sub, sigma)
+            cert = Certificate("totally_fg", lat.min_gens(h_idx), rl.ideals[colon_idx])
             if module.rank == 1:
                 ok, reason = verify_certificate(module, sub, sigma, cert)
             else:
@@ -528,28 +537,19 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
                 ok = (
                     cert.filter_ideal in sigma.members
                     and h_span <= sub
-                    and all(
-                        module.scalar(g, n) in h_span for n in sub for g in h_gens
-                    )
+                    and all(module.scalar(g, n) in h_span for n in sub for g in h_gens)
                 )
                 reason = None if ok else "generator containment failed"
             t.check(ok, "{}: S={}: {}", where, s_idx, reason)
 
-        # images of certified submodules under quotient maps stay certified
+        # images of certified submodules under quotient maps stay certified:
+        # ((H + N) : (S + N)) contains (H : S) for the certificate's H
         t = tallies["totally-fg-quotient-images"]
-        # witness_h[s]: the first H <= S with (H : S) in the filter; a
-        # sub-object inside N_s has an index no larger than s
-        witness_h = [
-            next(
-                (h for h in range(s + 1) if up[h] >> s & 1 and cm[h][s] in members), 0
-            )
-            for s in range(lat.n)
-        ]
         for n_idx in range(lat.n):
             above_n = up[n_idx]
             for s_idx in range(lat.n):
                 # sums as in SubobjectLattice.sum: the lowest common upper bound
-                h_ups = up[witness_h[s_idx]] & above_n
+                h_ups = up[certificates[s_idx][0]] & above_n
                 s_ups = up[s_idx] & above_n
                 image_h = (h_ups & -h_ups).bit_length() - 1
                 image_s = (s_ups & -s_ups).bit_length() - 1
@@ -627,8 +627,7 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         for t_idx in range(lat.n):
             if cm[lat.zero][t_idx] not in members:
                 continue
-            ok = quotient_transfer_check(module, lat.submodules[t_idx], sigma)
-            t.check(ok, "{}: T={}", where, t_idx)
+            t.check(_quotient_transfer(lat, t_idx, members), "{}: T={}", where, t_idx)
 
         # local property: certified iff certified at every maximal K-prime
         t = tallies["local-property"]
@@ -651,7 +650,7 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
     a_lat = lattices[0]
     a_certified_flags = certified_per_carrier[0]
     a_certified = noetherian_per_carrier[0]
-    principal_idx = [rl.index[principal_ideal(ring, x).elements] for x in range(ring.size)]
+    principal_idx = _principal_indices(rl)
 
     t = tallies["finite-type"]
     for b in sorted(sigma.members, key=Ideal.sort_key):
@@ -664,29 +663,20 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
             "basis {} not regenerated from {}", b.label, gens,
         )
 
-    def totally_principal_ideal(i_idx: int, mem: frozenset) -> bool:
-        return any(
-            rl.pair_colon(principal_idx[a], i_idx) in mem
-            for a in sorted(rl.ideals[i_idx].elements)
-        )
-
-    def sigma_principal_ideal(i_idx: int, mem: frozenset) -> bool:
-        cl = rl.closure(i_idx, mem)
-        return any(
-            rl.closure(principal_idx[a], mem) == cl for a in sorted(rl.ideals[i_idx].elements)
-        )
+    # (closure witness, certificate) of every ideal, as sigma_principal_status
+    principal_status = [_sigma_principal(rl, i, members, principal_idx) for i in range(rl.n)]
 
     t = tallies["cohen-prime-criterion"]
     prime_side = all(a_certified_flags[a_lat.idx(p.elements)] for p in part.K)
     t.check(a_certified == prime_side, "noetherian={}, K-side={}", a_certified, prime_side)
 
     t = tallies["kaplansky-prime-criterion"]
-    pir_side = all(totally_principal_ideal(i, members) for i in range(rl.n))
-    prime_pir_side = all(totally_principal_ideal(rl.idx(p), members) for p in part.K)
+    pir_side = all(cert is not None for _, cert in principal_status)
+    prime_pir_side = all(principal_status[rl.idx(p)][1] is not None for p in part.K)
     t.check(pir_side == prime_pir_side, "PIR={}, K-primes={}", pir_side, prime_pir_side)
 
     t = tallies["kaplansky-noetherian-corollary"]
-    sigma_pir = all(sigma_principal_ideal(i, members) for i in range(rl.n))
+    sigma_pir = all(witness is not None for witness, _ in principal_status)
     t.check(
         pir_side == (sigma_pir and a_certified),
         "totally-PIR={}, sigma-PIR={}, noetherian={}", pir_side, sigma_pir, a_certified,

@@ -662,8 +662,11 @@ class SubobjectLattice:
     and bit j of ``up_masks()[i]`` is ``leq(i, j)``.
     """
 
-    def __init__(self, ring: FiniteRing, size: int, add, orbit, ring_lattice: "IdealLattice"):
+    def __init__(
+        self, ring: FiniteRing, size: int, add, orbit, ring_lattice: "IdealLattice", kind: str
+    ):
         self.ring = ring
+        self.kind = kind  # what a member is, as in "an ideal of Z/6", for error messages
         self.size = size
         self._add = add
         self._orbit = orbit
@@ -732,7 +735,10 @@ class SubobjectLattice:
     # -- order ---------------------------------------------------------------
 
     def idx(self, s: frozenset) -> int:
-        return self.index[s]
+        try:
+            return self.index[s]
+        except KeyError:
+            raise InvalidArgument(f"{sorted(s)} is not {self.kind}") from None
 
     def leq(self, i: int, j: int) -> bool:
         return self.sets[i] <= self.sets[j]
@@ -898,11 +904,11 @@ class IdealLattice(SubobjectLattice):
     """
 
     def __init__(self, ring: FiniteRing):
-        super().__init__(ring, ring.size, ring._add, ring._mul, self)
+        super().__init__(ring, ring.size, ring._add, ring._mul, self, f"an ideal of {ring.label}")
         self.ideals = tuple(Ideal(ring, s) for s in self.sets)
 
     def idx(self, ideal: Ideal) -> int:
-        return self.index[ideal.elements]
+        return super().idx(ideal.elements)
 
 
 def ideal_lattice(ring: FiniteRing) -> IdealLattice:

@@ -124,3 +124,65 @@ def pair_colon_by_scan(module, n_i: frozenset, n_j: frozenset) -> frozenset:
         a for a in range(module.ring.size)
         if all(module.scalar(a, y) in n_i for y in n_j)
     )
+
+
+def greedy_generators_by_scan(module, target: frozenset) -> tuple:
+    """Greedy generators of a submodule: each step adds the element x whose
+    span cur + Ax is largest, the smallest such x on ties.  Spans are the
+    sumsets {c + a*x}, formed by module.add_elem and module.scalar."""
+    gens: list[int] = []
+    cur = frozenset({module.zero})
+    while cur != target:
+        grown = {
+            x: frozenset(
+                module.add_elem(c, module.scalar(a, x))
+                for c in cur for a in range(module.ring.size)
+            )
+            for x in sorted(target - cur)
+        }
+        best = max(grown, key=lambda x: (len(grown[x]), -x))
+        gens.append(best)
+        cur = grown[best]
+    return tuple(gens)
+
+
+def canonical_certificates_by_scan(
+    module, n_set: frozenset, submodules, member_sets: list
+) -> list[tuple[tuple, frozenset]]:
+    """The canonical certificate (generators of H, h) of N under each filter.
+
+    Every submodule H of the list with H <= N as element sets is a
+    candidate, with h = (H : N) by scalar scans.  Per filter, given as a set
+    of member element sets, the candidate with h a member that minimizes
+    (generator count, -|h|, sorted h, generators) wins.
+    """
+    candidates = []
+    for h_set in submodules:
+        if h_set <= n_set:
+            gens = greedy_generators_by_scan(module, h_set)
+            colon = pair_colon_by_scan(module, h_set, n_set)
+            candidates.append((len(gens), -len(colon), tuple(sorted(colon)), gens, colon))
+    out = []
+    for members in member_sets:
+        best = min(c for c in candidates if c[4] in members)
+        out.append((best[3], best[4]))
+    return out
+
+
+def sigma_principal_by_scan(ring, ideal: frozenset, members: set) -> tuple:
+    """(witness, certificate) as sigma_principal_status reports them, by scans.
+
+    The witness is the least a in I with closure(aA) = closure(I); the
+    certificate is (a, (aA : I)) for the least a in I whose colon is a filter
+    member.  Either is None when no element qualifies.
+    """
+    target = closure_by_scan(ring, ideal, members)
+    witness = certificate = None
+    for a in sorted(ideal):
+        principal = ideal_by_linear_combinations(ring, [a])
+        if witness is None and closure_by_scan(ring, principal, members) == target:
+            witness = a
+        colon = colon_by_scan(ring, principal, ideal)
+        if certificate is None and colon in members:
+            certificate = (a, colon)
+    return witness, certificate

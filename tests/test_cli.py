@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from torsionlab.cli import execute, main, render_json
+from torsionlab.errors import TheoremViolation
 from torsionlab.filters import closure, enumerate_gabriel_filters, is_closed, is_dense
 from torsionlab.modules import free_module
 from torsionlab.rings import (
@@ -253,13 +254,14 @@ def test_main_out_of_range_input_exits_2(tmp_path, capsys, command, doc):
     assert "is not an element of Z/6" in err or "pattern must be nonempty" in err
 
 
-def test_main_internal_error_is_not_input_error(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("error", [KeyError, TheoremViolation], ids=lambda e: e.__name__)
+def test_main_internal_error_is_not_input_error(tmp_path, monkeypatch, capsys, error):
     def broken(ring, sigma):
-        raise KeyError("internal")
+        raise error("internal")
 
     monkeypatch.setattr("torsionlab.cli.theorem_suite", broken)
     spec = write_spec(tmp_path, {"ring": {"zmod": 4}, "filter": "lambda"})
-    with pytest.raises(KeyError, match="internal"):
+    with pytest.raises(error, match="internal"):
         main(["suite", "--spec", spec])
     assert "invalid input" not in capsys.readouterr().err
 

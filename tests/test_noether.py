@@ -27,7 +27,17 @@ from torsionlab.noether import (
     upper_closure,
     verify_certificate,
 )
-from torsionlab.rings import ideal_from_generators, square_zero, zmod
+from torsionlab.rings import (
+    build_ring,
+    enumerate_ideals,
+    ideal_from_generators,
+    ideal_lattice,
+    ring_catalog,
+    square_zero,
+    zmod,
+)
+
+from .helpers import canonical_certificates_by_scan, sigma_principal_by_scan
 
 
 @pytest.fixture(scope="module")
@@ -324,9 +334,14 @@ def _planted_transfer(monkeypatch, row: int, col: int, value: int) -> bool:
     lat = SubmoduleLattice(module)
     monkeypatch.setattr(noether, "submodule_lattice", lambda m: lat)
     assert quotient_transfer_check(module, t_sub, sigma)
+    _plant(lat, row, col, value)
+    return quotient_transfer_check(module, t_sub, sigma)
+
+
+def _plant(lat, row: int, col: int, value: int) -> None:
+    """Set one entry of the lattice's colon matrix."""
     cm = lat.colon_matrix()
     cm[row] = cm[row][:col] + (value,) + cm[row][col + 1:]
-    return quotient_transfer_check(module, t_sub, sigma)
 
 
 def test_quotient_transfer_catches_planted_defects(monkeypatch):
@@ -345,3 +360,72 @@ def test_quotient_transfer_catches_planted_defects(monkeypatch):
     # filter, and h_bar*ann(T) = (2) must lie in h, planted as the zero ideal
     assert lat.pair_colon(t_idx, t_idx) == rl.top == top
     assert not _planted_transfer(monkeypatch, zero, zero, rl.zero)
+
+
+def test_certificates_and_principal_status_match_scans():
+    """tfg_certificate and sigma_principal_status against element-level
+    scans, for every submodule of A and A^2, every ideal and every Gabriel
+    filter of the catalog rings up to size 8."""
+    for term in ring_catalog(8):
+        ring = build_ring(term)
+        filters = enumerate_gabriel_filters(ring)
+        member_sets = [{m.elements for m in f.members} for f in filters]
+        for rank in (1, 2):
+            module = free_module(ring, rank)
+            subs = submodule_lattice(module).submodules
+            for n_set in subs:
+                expected = canonical_certificates_by_scan(module, n_set, subs, member_sets)
+                for sigma, (gens, h) in zip(filters, expected):
+                    cert = tfg_certificate(module, n_set, sigma)
+                    got = (cert.subobject_generators, cert.filter_ideal.elements)
+                    assert got == (gens, h), (ring.label, rank, sorted(n_set), sigma.label)
+        for ideal in enumerate_ideals(ring):
+            for sigma, members in zip(filters, member_sets):
+                status = sigma_principal_status(ideal, sigma)
+                cert = status.totally_principal
+                got = (
+                    status.witness,
+                    cert and (cert.subobject_generators[0], cert.filter_ideal.elements),
+                )
+                assert got == sigma_principal_by_scan(ring, ideal.elements, members)
+                assert status.sigma_principal == (status.witness is not None)
+
+
+def _planted_suite(monkeypatch, ring, sigma, lat) -> dict:
+    """theorem_suite's pass flags, with a private rank-1 lattice of the ring
+    handed to the suite through a monkeypatched ``submodule_lattice``."""
+    real = noether.submodule_lattice
+    monkeypatch.setattr(
+        noether, "submodule_lattice",
+        lambda m: lat if m.ring is ring and m.rank == 1 else real(m),
+    )
+    return {r.name: r.passed for r in theorem_suite(ring, sigma).results}
+
+
+def test_certificate_checks_catch_planted_colon(monkeypatch):
+    # A = Z/6 under the filter of ideals outside (3); planting (0 : A) = A
+    # makes H = 0 the canonical certificate of A, which does not re-verify,
+    # and the image pair ((3), A) of (0, A) under A -> A/(3) leaves the filter
+    ring = zmod(6)
+    sigma = filter_from_prime(ring, ideal_from_generators(ring, [3]))
+    lat = SubmoduleLattice(free_module(ring, 1))
+    assert all(_planted_suite(monkeypatch, ring, sigma, lat).values())
+    _plant(lat, lat.zero, lat.top, lat.ring_lattice.top)
+    passed = _planted_suite(monkeypatch, ring, sigma, lat)
+    assert not passed["certificates-verify"]
+    assert not passed["totally-fg-quotient-images"]
+
+
+def test_kaplansky_checks_catch_planted_colon(monkeypatch):
+    # a fresh Z/4, so the corrupted ideal lattice stays private to this test;
+    # planting (0 : 0) = (0) makes the zero ideal not totally principal under
+    # the trivial filter, while the one K-prime (2) still is
+    ring = zmod(4)
+    sigma = trivial_filter(ring)
+    lat = SubmoduleLattice(free_module(ring, 1))
+    assert all(_planted_suite(monkeypatch, ring, sigma, lat).values())
+    rl = ideal_lattice(ring)
+    _plant(rl, rl.zero, rl.zero, rl.zero)
+    passed = _planted_suite(monkeypatch, ring, sigma, lat)
+    assert not passed["kaplansky-prime-criterion"]
+    assert not passed["kaplansky-noetherian-corollary"]

@@ -5,13 +5,18 @@ from __future__ import annotations
 import pytest
 
 from torsionlab.errors import (
+    InvalidArgument,
     InvalidModulus,
     NonMonicPolynomial,
     NotPrime,
     RingMismatch,
     SizeCapExceeded,
 )
+from torsionlab.filters import trivial_filter
+from torsionlab.modules import free_module
+from torsionlab.noether import tfg_certificate
 from torsionlab.rings import (
+    Ideal,
     annihilator,
     build_ring,
     colon,
@@ -316,3 +321,15 @@ def test_ring_catalog_sizes():
     assert {"squarezero": {"p": 2, "k": 2}} in terms
     # catalog is deterministic
     assert terms == ring_catalog(12)
+
+
+def test_non_subobject_operand_is_invalid_argument():
+    ring = zmod(6)
+    bad = Ideal(ring, frozenset({1}))
+    for op in (colon, ideal_sum, ideal_intersect, ideal_product):
+        with pytest.raises(InvalidArgument, match=r"^\[1\] is not an ideal of Z/6$"):
+            op(bad, unit_ideal(ring))
+        with pytest.raises(InvalidArgument, match=r"^\[1\] is not an ideal of Z/6$"):
+            op(unit_ideal(ring), bad)
+    with pytest.raises(InvalidArgument, match=r"^\[0, 1\] is not a submodule of Z/6$"):
+        tfg_certificate(free_module(ring, 1), frozenset({0, 1}), trivial_filter(ring))
