@@ -39,7 +39,6 @@ from .filters import (
 from .modules import (
     FiniteModule,
     free_module,
-    is_submodule,
     span,
     submodule_lattice,
 )
@@ -162,11 +161,11 @@ def closure_colon_witness(
     always exists, so coming up empty raises with a full dump.
     """
     _require_same_ring(module, sigma)
-    if not is_submodule(module, sub):
-        raise NotASubmodule("witness search input is not a submodule")
     lat = submodule_lattice(module)
+    if sub not in lat.index:
+        raise NotASubmodule("witness search input is not a submodule")
     members = sigma.member_indices()
-    n_idx = lat.idx(sub)
+    n_idx = lat.index[sub]
     h_idx = _colon_witness(lat, n_idx, members)
     if h_idx is None:
         raise TheoremViolation(
@@ -243,23 +242,39 @@ def upper_closure(
     lat = submodule_lattice(module)
     idxs = [lat.idx(s) for s in family]
     return tuple(
-        lat.submodules[h] for h in _upper_closure(lat, idxs, sigma.member_indices())
+        lat.submodules[h] for h in _bits(_upper_closure(lat, idxs, sigma.member_indices()))
     )
 
 
-def _upper_closure(lat, family: Sequence[int], members: frozenset) -> list[int]:
-    """Indices H with (N : H) in the filter for some index N of the family."""
+def _upper_closure(lat, family: Sequence[int], members: frozenset) -> int:
+    """Bitmask of the indices H with (N : H) in the filter for some index N
+    of the family."""
     cm = lat.colon_matrix()
-    found = set()
+    found = 0
     for n in family:
-        found.update(h for h, c in enumerate(cm[n]) if c in members)
-    return sorted(found)
+        for h, c in enumerate(cm[n]):
+            if c in members:
+                found |= 1 << h
+    return found
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def is_upper_closed(
     module: FiniteModule, family: Sequence[frozenset], sigma: GabrielFilter
 ) -> bool:
-    return set(upper_closure(module, family, sigma)) == set(family)
+    _require_same_ring(module, sigma)
+    lat = submodule_lattice(module)
+    idxs = [lat.idx(s) for s in family]
+    return _upper_closure(lat, idxs, sigma.member_indices()) == sum(1 << i for i in set(idxs))
 
 
 def unique_maximal_check(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) -> bool:
@@ -269,7 +284,7 @@ def unique_maximal_check(module: FiniteModule, sub: frozenset, sigma: GabrielFil
     lat = submodule_lattice(module)
     members = sigma.member_indices()
     n_idx = lat.idx(sub)
-    maximal = lat.maximal(_upper_closure(lat, (n_idx,), members))
+    maximal = lat.maximal(_bits(_upper_closure(lat, (n_idx,), members)))
     closure_in_family = lat.pair_colon(n_idx, lat.closure(n_idx, members)) in members
     if (len(maximal) == 1) != closure_in_family:
         raise TheoremViolation(
@@ -313,34 +328,59 @@ def quotient_transfer_check(
     of the image pair composed with an ideal killing T comes back down.
     """
     lat, t_idx, members, _ = _totally_torsion(module, t_sub, sigma)
-    return _quotient_transfer(lat, t_idx, members)
+    return _quotient_transfer(lat, (t_idx,), members)[0]
 
 
-def _quotient_transfer(lat, t_idx: int, members: frozenset) -> bool:
-    """The transfer check for T = N_t, whose annihilator lies in the filter."""
+def _quotient_transfer(lat, t_idxs: Sequence[int], members: frozenset) -> list[bool]:
+    """The transfer check for each T = N_t of t_idxs, whose annihilators lie
+    in the filter.
+
+    A pair N <= M passes on its colon h = (N : M), the colon h_bar of its
+    image pair (N + T, M + T) and ann(T) alone, so the passing (h, h_bar)
+    are tabulated once per annihilator.  The up-sets, their colons and the
+    member flags do not depend on T and are built once; N + T is read from
+    row T of the sum matrix.
+    """
     rl = lat.ring_lattice
-    ann = lat.pair_colon(lat.zero, t_idx)
     cm = lat.colon_matrix()
+    sm = lat.sum_matrix()
     up = rl.up_masks()
     in_filter = [a in members for a in range(rl.n)]
-    times_ann = [rl.prod(a, ann) for a in range(rl.n)]
-    plus_t = [lat.sum(i, t_idx) for i in range(lat.n)]
-    for n_idx in range(lat.n):
-        row = cm[n_idx]
-        row_bar = cm[plus_t[n_idx]]
-        for m_idx in lat.upset(n_idx):
-            h = row[m_idx]
-            h_bar = row_bar[plus_t[m_idx]]
-            if in_filter[h]:
-                if not (up[h] >> h_bar & 1 and in_filter[h_bar]):
+    ups = [lat.upset(n_idx) for n_idx in range(lat.n)]
+    colons = [[cm[n_idx][m_idx] for m_idx in ups[n_idx]] for n_idx in range(lat.n)]
+    passing_by_ann: dict[int, list[int]] = {}
+
+    def passing(ann: int) -> list[int]:
+        """Bit h_bar of entry h: the colon pair (h, h_bar) passes."""
+        times_ann = [rl.prod(a, ann) for a in range(rl.n)]
+        out = []
+        for h in range(rl.n):
+            mask = 0
+            for h_bar, composed in enumerate(times_ann):
+                # forward: stability of the pair survives to its image with h
+                if in_filter[h] and not (up[h] >> h_bar & 1 and in_filter[h_bar]):
+                    continue
+                # backward: N_m * (h_bar * annT) <= N_n, with h_bar * annT in the filter
+                if in_filter[h_bar] and not (in_filter[composed] and up[composed] >> h & 1):
+                    continue
+                mask |= 1 << h_bar
+            out.append(mask)
+        return out
+
+    def transfers(t_idx: int) -> bool:
+        ann = cm[lat.zero][t_idx]
+        if ann not in passing_by_ann:
+            passing_by_ann[ann] = passing(ann)
+        ok = passing_by_ann[ann]
+        plus_t = sm[t_idx]
+        for n_idx in range(lat.n):
+            row_bar = cm[plus_t[n_idx]]
+            for m_idx, h in zip(ups[n_idx], colons[n_idx]):
+                if not ok[h] >> row_bar[plus_t[m_idx]] & 1:
                     return False
-            if in_filter[h_bar]:
-                composed = times_ann[h_bar]
-                if not in_filter[composed]:
-                    return False
-                if not up[composed] >> h & 1:  # N_m * (h_bar * annT) <= N_n
-                    return False
-    return True
+        return True
+
+    return [transfers(t_idx) for t_idx in t_idxs]
 
 
 @dataclass(frozen=True)
@@ -431,10 +471,10 @@ class _Tally:
         self.passed = True
         self.counterexample = None
 
-    def check(self, ok: bool, witness: str, *args) -> None:
-        """Count one instance; the first failure's counterexample is
+    def check(self, ok: bool, witness: str, *args, instances: int = 1) -> None:
+        """Count the instances; the first failure's counterexample is
         ``witness.format(*args)``, built only then."""
-        self.instances += 1
+        self.instances += instances
         if not ok and self.passed:
             self.passed = False
             self.counterexample = witness.format(*args)
@@ -517,10 +557,12 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         totally_noetherian = all(certified)
         certified_per_carrier.append(certified)
         noetherian_per_carrier.append(totally_noetherian)
-        # upper[n]: the upper closure of {N_n}, i.e. every H with (N_n : H)
-        # in the filter; its maximal elements serve two theorems below
-        upper = [frozenset(_upper_closure(lat, (n,), members)) for n in range(lat.n)]
-        maxima = [lat.maximal(fam) for fam in upper]
+        # upper[n]: the upper closure of {N_n} as a bitmask, i.e. every H
+        # with (N_n : H) in the filter; upper_members[n] lists its bits, and
+        # its maximal elements serve two theorems below
+        upper = [_upper_closure(lat, (n,), members) for n in range(lat.n)]
+        upper_members = [_bits(fam) for fam in upper]
+        maxima = [lat.maximal(fam) for fam in upper_members]
 
         # certificates exist canonically and re-verify
         t = tallies["certificates-verify"]
@@ -543,17 +585,21 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
             t.check(ok, "{}: S={}: {}", where, s_idx, reason)
 
         # images of certified submodules under quotient maps stay certified:
-        # ((H + N) : (S + N)) contains (H : S) for the certificate's H
+        # ((H + N) : (S + N)) contains (H : S) for the certificate's H; over
+        # every N, the images are rows H and S of the sum matrix
         t = tallies["totally-fg-quotient-images"]
-        for n_idx in range(lat.n):
-            above_n = up[n_idx]
-            for s_idx in range(lat.n):
-                # sums as in SubobjectLattice.sum: the lowest common upper bound
-                h_ups = up[certificates[s_idx][0]] & above_n
-                s_ups = up[s_idx] & above_n
-                image_h = (h_ups & -h_ups).bit_length() - 1
-                image_s = (s_ups & -s_ups).bit_length() - 1
-                t.check(cm[image_h][image_s] in members, "{}: N={}, S={}", where, n_idx, s_idx)
+        sm = lat.sum_matrix()
+        first_bad = None  # the least failing (N, S)
+        for s_idx, (h_idx, _) in enumerate(certificates):
+            images = [cm[image_h][image_s] for image_h, image_s in zip(sm[h_idx], sm[s_idx])]
+            if not members.issuperset(images):
+                n_idx = next(n for n, c in enumerate(images) if c not in members)
+                if first_bad is None or n_idx < first_bad[0]:
+                    first_bad = (n_idx, s_idx)
+        t.check(
+            first_bad is None, "{}: N={}, S={}", where, *(first_bad or ()),
+            instances=lat.n * lat.n,
+        )
 
         # N and M/N certified in all parts iff M is
         t = tallies["noetherian-submodule-quotient"]
@@ -574,11 +620,11 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         t = tallies["chain-stability"]
         side_chains = True
         for a, b in pairs:
-            stable = b in upper[a] or b in upper[b]
+            stable = bool(upper[a] >> b & 1 or upper[b] >> b & 1)
             side_chains = side_chains and stable
             t.check(stable, "{}: pair ({},{})", where, a, b)
         for chain in lat.maximal_chains():
-            stable = any(chain[-1] in upper[m_idx] for m_idx in chain)
+            stable = any(upper[m_idx] >> chain[-1] & 1 for m_idx in chain)
             side_chains = side_chains and stable
             t.check(stable, "{}: chain {}", where, chain)
 
@@ -587,7 +633,7 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         side_upper = True
         for n_idx in range(lat.n):
             # the upper closure of a family is the union of its members' ones
-            closed = all(upper[h] <= upper[n_idx] for h in upper[n_idx])
+            closed = not any(upper[h] & ~upper[n_idx] for h in upper_members[n_idx])
             has_maximal = bool(maxima[n_idx])
             side_upper = side_upper and closed and has_maximal
             t.check(closed and has_maximal, "{}: N={}", where, n_idx)
@@ -597,7 +643,7 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         t = tallies["sigma-maximal-existence"]
         side_sigma_max = True
         for n_idx in range(lat.n):
-            ok = n_idx in upper[n_idx]
+            ok = bool(upper[n_idx] >> n_idx & 1)
             side_sigma_max = side_sigma_max and ok
             t.check(ok, "{}: singleton {}", where, n_idx)
         for a, b in pairs:
@@ -606,7 +652,7 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
             exists = bool(_sigma_maximal(lat, (a, b), members))
             side_sigma_max = side_sigma_max and exists
             t.check(exists, "{}: family ({},{})", where, a, b)
-        ok = lat.top in upper[lat.top]
+        ok = bool(upper[lat.top] >> lat.top & 1)
         side_sigma_max = side_sigma_max and ok
         t.check(ok, "{}: full lattice family", where)
 
@@ -619,15 +665,14 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         # unique maximal element iff the closure joins the upper closure
         t = tallies["unique-maximal"]
         for n_idx in range(lat.n):
-            rhs = lat.closure(n_idx, members) in upper[n_idx]
+            rhs = bool(upper[n_idx] >> lat.closure(n_idx, members) & 1)
             t.check((len(maxima[n_idx]) == 1) == rhs, "{}: N={}", where, n_idx)
 
         # quotients by totally torsion submodules preserve stability data
         t = tallies["totally-torsion-quotient-transfer"]
-        for t_idx in range(lat.n):
-            if cm[lat.zero][t_idx] not in members:
-                continue
-            t.check(_quotient_transfer(lat, t_idx, members), "{}: T={}", where, t_idx)
+        torsion = [t_idx for t_idx in range(lat.n) if cm[lat.zero][t_idx] in members]
+        for t_idx, ok in zip(torsion, _quotient_transfer(lat, torsion, members)):
+            t.check(ok, "{}: T={}", where, t_idx)
 
         # local property: certified iff certified at every maximal K-prime
         t = tallies["local-property"]

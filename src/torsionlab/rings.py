@@ -654,12 +654,12 @@ class SubobjectLattice:
     returns an indexable row for each element will do.  Its sub-objects (the
     ideals of a ring, the submodules of a module) are the additive
     subgroups closed under the action.  They get stable indices, ordered by
-    cardinality and then by sorted elements; meets, products with ideals and
-    colons become memoized index lookups, sums are read off the up-set
-    masks, and closures off the memoized colon rows.  Colons are ideals, indexed in
-    ``ring_lattice``, the ideal lattice of the base ring.  Hot loops read
-    the tables directly: ``colon_matrix()[i][j]`` is ``pair_colon(i, j)``,
-    and bit j of ``up_masks()[i]`` is ``leq(i, j)``.
+    cardinality and then by sorted elements; meets, products with ideals,
+    sums and colons become memoized index lookups, and closures are read off
+    the memoized colon rows.  Colons are ideals, indexed in ``ring_lattice``,
+    the ideal lattice of the base ring.  Hot loops read the tables directly:
+    ``colon_matrix()[i][j]`` is ``pair_colon(i, j)``, ``sum_matrix()[i][j]``
+    is ``sum(i, j)``, and bit j of ``up_masks()[i]`` is ``leq(i, j)``.
     """
 
     def __init__(
@@ -679,6 +679,7 @@ class SubobjectLattice:
         self.top = self.index[frozenset(range(size))]
         self._colon_rows: dict[int, tuple[int, ...]] = {}
         self._colon_matrix = _Rows(self._colon_matrix_row)
+        self._sum_matrix = _Rows(self._sum_matrix_row)
         self._min_gens: dict[int, tuple[int, ...]] = {}
         self._inter: dict[tuple[int, int], int] = {}
         self._prod: dict[tuple[int, int], int] = {}
@@ -758,8 +759,11 @@ class SubobjectLattice:
 
     def maximal(self, family: Collection[int]) -> list[int]:
         """The members of a family of indices that no other member contains."""
-        fam = set(family)
-        return [i for i in family if fam.isdisjoint(self.upset(i)[1:])]
+        up = self.up_masks()
+        fam = 0
+        for i in family:
+            fam |= 1 << i
+        return [i for i in family if up[i] & fam == 1 << i]
 
     def inclusion_pairs(self) -> list[tuple[int, int]]:
         """All (i, j) with N_i <= N_j, including i == j, in index order."""
@@ -822,14 +826,25 @@ class SubobjectLattice:
         return self._min_gens[i]
 
     def sum(self, i: int, j: int) -> int:
-        """Index of N_i + N_j, read off the up-set masks.
+        """Index of N_i + N_j."""
+        return self._sum_matrix[i][j]
 
-        The sum is the least common upper bound; every other one contains it
-        properly, so it has the smallest index among them.
+    def sum_matrix(self) -> dict[int, tuple[int, ...]]:
+        """Row i, column j: the index of N_i + N_j.
+
+        Each row is built the first time it is read, from the up-set masks:
+        the sum is the least common upper bound, and every other one
+        contains it properly, so it has the smallest index among them.
         """
-        up = self.up_masks()
-        common = up[i] & up[j]
-        return (common & -common).bit_length() - 1
+        return self._sum_matrix
+
+    def _sum_matrix_row(self, i: int) -> tuple[int, ...]:
+        above = self.up_masks()[i]
+        out = []
+        for mask in self.up_masks():
+            common = mask & above
+            out.append((common & -common).bit_length() - 1)
+        return tuple(out)
 
     def inter(self, i: int, j: int) -> int:
         key = (i, j) if i <= j else (j, i)

@@ -118,6 +118,14 @@ def additive_closure_by_scan(ring: FiniteRing, seed: set) -> frozenset:
         out |= more
 
 
+def module_sum_by_scan(module, n_i: frozenset, n_j: frozenset) -> frozenset:
+    """N_i + N_j, the additive closure of N_i and N_j, by module.add_elem.
+
+    Both are additive subgroups, so the closure is the set of sums a + b.
+    """
+    return frozenset(module.add_elem(a, b) for a in n_i for b in n_j)
+
+
 def pair_colon_by_scan(module, n_i: frozenset, n_j: frozenset) -> frozenset:
     """{a : a*y in N_i for every y in N_j}, by module.scalar on every pair."""
     return frozenset(

@@ -32,6 +32,7 @@ from .helpers import (
     additive_closure_by_scan,
     closure_by_scan,
     maximal_by_scan,
+    module_sum_by_scan,
     pair_colon_by_scan,
 )
 
@@ -163,6 +164,27 @@ def test_colon_matrix_matches_scan():
                         if any(scan[i, j] in member_sets for i in fam)
                     )
                     assert upper_closure(module, [lat.sets[i] for i in fam], sigma) == by_scan
+
+
+def test_rank_two_sums_and_maxima_match_scans():
+    # Every entry of the sum matrix of A^2 against the sums a + b by
+    # add_elem, and the mask-based maximal against a subset scan, on the
+    # families of test_lattice_rank_one_matches_ideals.
+    for term in ring_catalog(8):
+        ring = build_ring(term)
+        module = free_module(ring, 2)
+        lat = submodule_lattice(module)
+        sm = lat.sum_matrix()
+        for i, si in enumerate(lat.sets):
+            for j in range(i, lat.n):
+                assert lat.sets[sm[i][j]] == module_sum_by_scan(module, si, lat.sets[j])
+                assert sm[j][i] == sm[i][j] == lat.sum(i, j)
+        n = lat.n
+        families = [list(range(n)), [i for i in range(n) if i != lat.top]]
+        families += [[j for j in range(n) if not lat.leq(i, j)] for i in range(n)]
+        for fam in families:
+            by_scan = maximal_by_scan([lat.sets[i] for i in fam])
+            assert [lat.sets[i] for i in lat.maximal(fam)] == by_scan
 
 
 def test_rows_match_element_arithmetic():

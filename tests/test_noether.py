@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from torsionlab import noether
-from torsionlab.errors import NotAscending, PreconditionFailed
+from torsionlab.errors import InvalidArgument, NotAscending, NotASubmodule, PreconditionFailed
 from torsionlab.filters import (
     enumerate_gabriel_filters,
     filter_from_mult_set,
@@ -136,6 +136,15 @@ def test_closure_colon_witness_equals_closure(z12, sigma39):
         if all(m.scalar(a, x) in sub for a in h.elements)
     )
     assert quotient == closure(m, sub, sigma39)
+
+
+def test_closure_colon_witness_rejects_non_submodules(z12, sigma39):
+    # the lattice index rejects the input; the error stays NotASubmodule
+    for rank in (1, 2):
+        m = free_module(z12, rank)
+        with pytest.raises(NotASubmodule) as caught:
+            closure_colon_witness(m, frozenset({0, 5}), sigma39)
+        assert not isinstance(caught.value, InvalidArgument)
 
 
 # -- maximality ------------------------------------------------------------------
@@ -429,3 +438,55 @@ def test_kaplansky_checks_catch_planted_colon(monkeypatch):
     passed = _planted_suite(monkeypatch, ring, sigma, lat)
     assert not passed["kaplansky-prime-criterion"]
     assert not passed["kaplansky-noetherian-corollary"]
+
+
+def _plant_sum(lat) -> None:
+    """On the lattice of A = Z/6, set the sum (3) + 0 to (2)."""
+    t_idx, two = lat.idx(frozenset({0, 3})), lat.idx(frozenset({0, 2, 4}))
+    sm = lat.sum_matrix()
+    assert sm[t_idx][lat.zero] == t_idx
+    sm[t_idx] = sm[t_idx][:lat.zero] + (two,) + sm[t_idx][lat.zero + 1:]
+
+
+def test_quotient_checks_catch_planted_sum(monkeypatch):
+    # A = Z/6 under the filter of ideals outside (3); planting (3) + 0 = (2)
+    # moves the image of S = (3) under N = 0 to (2), where the certificate
+    # H = 0 of S has colon (0 : (2)) = (3) outside the filter; and for
+    # T = (3) it gives the pair (0, (2)), whose colon is h = (3), the image
+    # pair ((2), A) with colon (2) in the filter, but (2)*ann(T) = (2) is not
+    # inside h
+    ring = zmod(6)
+    sigma = filter_from_prime(ring, ideal_from_generators(ring, [3]))
+    lat = SubmoduleLattice(free_module(ring, 1))
+    assert all(_planted_suite(monkeypatch, ring, sigma, lat).values())
+    _plant_sum(lat)
+    passed = _planted_suite(monkeypatch, ring, sigma, lat)
+    assert not passed["totally-fg-quotient-images"]
+    assert not passed["totally-torsion-quotient-transfer"]
+
+
+def test_many_t_transfer_matches_single_t_check(monkeypatch):
+    """_quotient_transfer over every totally torsion T at once gives the
+    verdicts of quotient_transfer_check one T at a time: on A and A^2 of the
+    catalog rings up to size 8 under every Gabriel filter, and on a lattice
+    with a planted sum, where some T fail."""
+    for term in ring_catalog(8):
+        ring = build_ring(term)
+        for rank in (1, 2):
+            module = free_module(ring, rank)
+            lat = submodule_lattice(module)
+            for sigma in enumerate_gabriel_filters(ring):
+                members = sigma.member_indices()
+                torsion = [t for t in range(lat.n) if lat.pair_colon(lat.zero, t) in members]
+                single = [quotient_transfer_check(module, lat.sets[t], sigma) for t in torsion]
+                assert noether._quotient_transfer(lat, torsion, members) == single
+    ring = zmod(6)
+    module = free_module(ring, 1)
+    sigma = filter_from_prime(ring, ideal_from_generators(ring, [3]))
+    lat = SubmoduleLattice(module)
+    monkeypatch.setattr(noether, "submodule_lattice", lambda m: lat)
+    _plant_sum(lat)
+    torsion = [lat.zero, lat.idx(frozenset({0, 3}))]
+    single = [quotient_transfer_check(module, lat.sets[t], sigma) for t in torsion]
+    assert single == [True, False]
+    assert noether._quotient_transfer(lat, torsion, sigma.member_indices()) == single
