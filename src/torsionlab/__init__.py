@@ -31,6 +31,7 @@ from .errors import (
     PreconditionFailed,
     RingMismatch,
     SizeCapExceeded,
+    SpecPredicateError,
     SpecValidationError,
     TailDisciplineViolation,
     TheoremViolation,

@@ -3,28 +3,38 @@
 Subcommands map one-to-one onto tasks (`inspect` runs the `enumerate`
 task, `monomial` runs `monomial-decide`).  The spec file is a single JSON
 document validated strictly against the shipped schema; unknown fields are
-rejected.  Reports render as text or JSON; the JSON form is byte-identical
+rejected.  Validation has a fast path and an error path.  The schema file
+is compiled once per process into a plain predicate, which decides
+validity; an accepted document returns at once, without importing
+jsonschema.  A rejected document goes to jsonschema's Draft 2020-12
+validator, imported and built on first need, and its first error by
+instance path words the rejection, so the schema file stays the only
+grammar and jsonschema the only author of an error text.  Reports render
+as text or JSON; the JSON form is byte-identical
 across runs for a fixed spec and tool version, so timing is reported only
 in text mode.
 
 Exit codes: 0 on success, 1 on a theorem-suite counterexample or, under
 --expect-pass, on any refuted or exhausted decision, 2 on input errors
 (a :class:`WorkbenchError`).  Any other exception is a bug and propagates
-with its traceback.
+with its traceback; so does a schema the predicate compiler cannot follow,
+or a document the predicate rejects and jsonschema accepts
+(:class:`SpecPredicateError`).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import numbers
+import re
 import sys
 import time
 from importlib import resources
 
-import jsonschema
-
 from . import __version__
-from .errors import SpecValidationError, WorkbenchError
+from .errors import SpecPredicateError, SpecValidationError, WorkbenchError
 from .filters import (
     GabrielFilter,
     enumerate_gabriel_filters,
@@ -74,19 +84,145 @@ TASK_BY_COMMAND = {
     "monomial": "monomial-decide",
 }
 
-_SPEC_SCHEMA = None
 
-
+@functools.cache
 def _spec_schema() -> dict:
-    global _SPEC_SCHEMA
-    if _SPEC_SCHEMA is None:
-        text = (
-            resources.files("torsionlab.schemas")
-            .joinpath("workbench-spec.v1.json")
-            .read_text(encoding="utf-8")
-        )
-        _SPEC_SCHEMA = json.loads(text)
-    return _SPEC_SCHEMA
+    text = (
+        resources.files("torsionlab.schemas")
+        .joinpath("workbench-spec.v1.json")
+        .read_text(encoding="utf-8")
+    )
+    return json.loads(text)
+
+
+_ANNOTATIONS = {"$schema", "$id", "title", "description", "$defs"}
+_APPLICATORS = {"properties", "patternProperties", "additionalProperties", "items",
+                "$ref", "allOf", "oneOf", "if", "then"}
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    # as in jsonschema's Draft 2020-12: 1.0 is an integer and True is not
+    "integer": lambda x: not isinstance(x, bool)
+    and (isinstance(x, int) or isinstance(x, float) and x.is_integer()),
+}
+
+
+def _is_number(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, numbers.Number)
+
+
+def _of_type(name):
+    if not isinstance(name, str) or name not in _TYPES:
+        raise SpecPredicateError(f"spec schema type not supported: {name!r}")
+    return _TYPES[name]
+
+
+def _one_of_strings(key: str, values: list):
+    # jsonschema compares strings by ==, and a string to a non-string as unequal
+    if not all(isinstance(v, str) for v in values):
+        raise SpecPredicateError(f"spec schema {key} is not all strings: {values!r}")
+    values = frozenset(values)
+    return lambda x: isinstance(x, str) and x in values
+
+
+# keyword -> check of one instance, each ignoring the types it does not apply to
+_KEYWORD_CHECKS = {
+    "type": _of_type,
+    "enum": lambda vs: _one_of_strings("enum", vs),
+    "const": lambda v: _one_of_strings("const", [v]),
+    "minimum": lambda m: lambda x: not _is_number(x) or x >= m,
+    "maximum": lambda m: lambda x: not _is_number(x) or x <= m,
+    "required": lambda keys: lambda x: not isinstance(x, dict) or all(k in x for k in keys),
+    "minProperties": lambda n: lambda x: not isinstance(x, dict) or len(x) >= n,
+    "maxProperties": lambda n: lambda x: not isinstance(x, dict) or len(x) <= n,
+    "minItems": lambda n: lambda x: not isinstance(x, list) or len(x) >= n,
+    "maxItems": lambda n: lambda x: not isinstance(x, list) or len(x) <= n,
+}
+
+
+def _every(checks: list):
+    """The predicate that holds where every one of the checks holds."""
+    if len(checks) == 1:
+        return checks[0]
+
+    def every(x) -> bool:
+        for check in checks:
+            if not check(x):
+                return False
+        return True
+
+    return every
+
+
+def _compile_schema(root: dict):
+    """Compile a JSON Schema into a predicate that agrees with jsonschema's
+    ``Draft202012Validator(root).is_valid``.  Only the keywords the spec
+    schema uses are known; any other keyword or type, a non-string ``enum``
+    or ``const`` value, or a ``$ref`` that is not a local ``$defs`` entry
+    raises SpecPredicateError, so a schema edit is never silently ignored."""
+    defs: dict = {}
+
+    def ref(pointer: str):
+        name = pointer.removeprefix("#/$defs/")
+        if name == pointer or name not in root.get("$defs", {}):
+            raise SpecPredicateError(f"spec schema $ref {pointer!r} is not a local $defs entry")
+        return lambda x: defs[name](x)  # read on call: ring refers to itself
+
+    def compile_(node):
+        if isinstance(node, bool):
+            return lambda x: node
+        unknown = node.keys() - _ANNOTATIONS - _APPLICATORS - _KEYWORD_CHECKS.keys()
+        if unknown:
+            raise SpecPredicateError(f"spec schema keywords not supported: {sorted(unknown)}")
+        checks = [_KEYWORD_CHECKS[k](v) for k, v in node.items() if k in _KEYWORD_CHECKS]
+        props = {k: compile_(v) for k, v in node.get("properties", {}).items()}
+        pats = [(re.compile(p).search, compile_(v))
+                for p, v in node.get("patternProperties", {}).items()]
+        extra = compile_(node.get("additionalProperties", True))
+
+        def members(x) -> bool:
+            # a member meets its property and every pattern it matches, or else extra
+            for k, v in (x.items() if isinstance(x, dict) else ()):
+                hits = [check for search, check in pats if search(k)] if pats else []
+                if k in props:
+                    hits.append(props[k])
+                for check in hits or (extra,):
+                    if not check(v):
+                        return False
+            return True
+
+        if props or pats or "additionalProperties" in node:
+            checks.append(members)
+        if "items" in node:
+            item = compile_(node["items"])
+            checks.append(lambda x: not isinstance(x, list) or all(map(item, x)))
+        if "$ref" in node:
+            checks.append(ref(node["$ref"]))
+        if "allOf" in node:
+            checks.append(_every([compile_(t) for t in node["allOf"]]))
+        if "oneOf" in node:
+            branches = [compile_(t) for t in node["oneOf"]]
+            checks.append(lambda x: sum(branch(x) for branch in branches) == 1)
+        if "if" in node:
+            cond, then = compile_(node["if"]), compile_(node.get("then", True))
+            checks.append(lambda x: not cond(x) or then(x))
+        return _every(checks)
+
+    predicate = compile_(root)
+    defs.update((name, compile_(node)) for name, node in root.get("$defs", {}).items())
+    return predicate
+
+
+@functools.cache
+def _spec_predicate():
+    return _compile_schema(_spec_schema())
+
+
+@functools.cache
+def _spec_validator():
+    import jsonschema  # only a rejection needs its wording
+
+    return jsonschema.Draft202012Validator(_spec_schema())
 
 
 def load_spec(path: str) -> dict:
@@ -104,12 +240,15 @@ def load_spec(path: str) -> dict:
 
 
 def validate_spec(doc: dict) -> None:
-    validator = jsonschema.Draft202012Validator(_spec_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        where = first.json_path
-        raise SpecValidationError(f"spec validation failed at {where}: {first.message}")
+    """Accept a document the compiled predicate accepts; word a rejection
+    with jsonschema's first error by instance path."""
+    if _spec_predicate()(doc):
+        return
+    errors = sorted(_spec_validator().iter_errors(doc), key=lambda e: list(e.absolute_path))
+    if not errors:
+        raise SpecPredicateError("the compiled spec predicate rejects a document the schema accepts")
+    first = errors[0]
+    raise SpecValidationError(f"spec validation failed at {first.json_path}: {first.message}")
 
 
 def build_filter(ring: FiniteRing, spec) -> GabrielFilter:

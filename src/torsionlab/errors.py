@@ -60,3 +60,8 @@ class TailDisciplineViolation(WorkbenchError):
 
 class SpecValidationError(WorkbenchError):
     """Workbench spec file failed schema validation."""
+
+
+class SpecPredicateError(Exception):
+    """The compiled spec predicate cannot follow the shipped schema, or
+    disagrees with jsonschema: a bug, not bad input."""

@@ -2,14 +2,27 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import os
+import random
+import subprocess
+import sys
+import textwrap
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from torsionlab.cli import execute, main, render_json
-from torsionlab.errors import TheoremViolation
+import torsionlab
+from torsionlab import cli
+from torsionlab.cli import execute, main, render_json, validate_spec
+from torsionlab.errors import (
+    SpecPredicateError,
+    SpecValidationError,
+    TheoremViolation,
+    WorkbenchError,
+)
 from torsionlab.filters import closure, enumerate_gabriel_filters, is_closed, is_dense
 from torsionlab.modules import free_module
 from torsionlab.rings import (
@@ -292,3 +305,211 @@ def test_json_report_round_trips():
     doc = {"task": "census", "ring": {"zmod": 30}}
     report, _ = execute(doc)
     assert json.loads(render_json(report)) == report
+
+
+# -- spec validation: compiled predicate, jsonschema wording ---------------------
+
+_RINGS = [
+    {"zmod": 12},
+    {"product": [{"zmod": 2}, {"product": [{"zmod": 3}, {"zmod": 2}]}]},
+    {"polyquot": {"p": 2, "f": [1, 1, 1]}},
+    {"squarezero": {"p": 3, "k": 2}},
+]
+_FILTERS = [
+    "lambda",
+    "trivial",
+    "improper",
+    {"mult_set": [1, 3, 9]},
+    {"prime_complement": {"ideal_gens": [2]}},
+    {"seeds": [[4], [6, 2]]},
+]
+_IDEAL = {
+    "gens": [{"vars": {"1": 2, "2": 1}}, {"vars": {"10": 3}}],
+    "families": [{"base": {"vars": {"1": 1}}, "start": 2, "step": 2, "e": 1}],
+}
+_MONOMIAL_PARAMS = [
+    {"op": "decide", "mult_set": {"s": {"vars": {"1": 1}}}, "ideal": _IDEAL},
+    {"op": "saturate", "mult_set": {"s": {"vars": {"2": 1}}}, "ideal": {"gens": []}},
+    {"op": "in_filter", "mult_set": {"s": {"vars": {"3": 2}}}, "ideal": _IDEAL},
+    {"op": "cohen", "mult_set": {"s": {"vars": {"1": 1}}},
+     "primes": [{"finite": [1, 4]}, {"tail": {"start": 2, "step": 3}}]},
+    {"op": "almost_jansian", "mult_set": {"s": {"vars": {"1": 1, "2": 2}}}},
+]
+
+
+def fixture_specs() -> list[dict]:
+    """Valid specs for all seven tasks, every ring constructor, every filter
+    form and all five monomial ops."""
+    docs = [{"task": "suite", "params": {"sweep_max_size": 10}, "schema": "workbench-spec.v1"}]
+    docs += [{"task": "monomial-decide", "params": p, "format": "json"} for p in _MONOMIAL_PARAMS]
+    for ring in _RINGS:
+        docs += [{"task": "enumerate", "ring": ring}, {"task": "census", "ring": ring, "params": {}}]
+        for sigma in _FILTERS:
+            docs += [
+                {"task": "partition", "ring": ring, "filter": sigma, "format": "text"},
+                {"task": "closure", "ring": ring, "filter": sigma, "params": {"ideal_gens": [2]}},
+                {"task": "certify", "ring": ring, "filter": sigma, "params": {"ideal_gens": []}},
+                {"task": "suite", "ring": ring, "filter": sigma},
+            ]
+    return docs
+
+
+_REPLACEMENTS = [True, 1.0, 1.5, 0, -1, None, "x", [], {}, 2, 5, "json"]
+
+
+def mutate(rng: random.Random, doc: dict) -> dict:
+    """A copy of doc with one object or array inside it changed: a value
+    replaced, a key deleted or added, or an array item appended or popped."""
+    doc = copy.deepcopy(doc)
+    nodes = [doc]
+    for node in nodes:  # every object and array, doc included
+        nodes += [c for c in (node.values() if isinstance(node, dict) else node)
+                  if isinstance(c, (dict, list))]
+    node = rng.choice(nodes)
+    value = copy.deepcopy(rng.choice(_REPLACEMENTS))
+    op = rng.choice(("replace", "remove", "grow")) if node else "grow"
+    if op == "replace":
+        node[rng.choice(list(node) if isinstance(node, dict) else range(len(node)))] = value
+    elif op == "remove" and isinstance(node, dict):
+        del node[rng.choice(list(node))]
+    elif op == "remove":
+        node.pop()
+    elif isinstance(node, dict):
+        node[rng.choice(("bogus", "7"))] = value
+    else:
+        node.append(copy.deepcopy(node[0]) if node else value)
+    return doc
+
+
+def test_compiled_predicate_agrees_with_jsonschema():
+    validator = jsonschema.Draft202012Validator(cli._spec_schema())
+    predicate = cli._spec_predicate()
+    rng = random.Random(2011)
+    fixtures = fixture_specs()
+    corpus = list(fixtures)
+    while len(corpus) < 5000:
+        doc = mutate(rng, rng.choice(fixtures))
+        corpus.append(mutate(rng, doc) if rng.random() < 0.2 else doc)
+    verdicts = [validator.is_valid(doc) for doc in corpus]
+    disagree = [doc for doc, ok in zip(corpus, verdicts) if predicate(doc) != ok]
+    assert not disagree, disagree[:3]
+    assert all(verdicts[: len(fixtures)])
+    # the schema is strict, so most mutations are rejected
+    assert verdicts.count(True) >= 750 and verdicts.count(False) >= 3000, verdicts.count(True)
+
+
+@pytest.mark.parametrize(
+    "schema, instances",
+    [
+        ({"type": "integer"}, [1, 1.0, 1.5, True, "1", None]),
+        ({"minimum": 2, "maximum": 3}, [2, 3, 1, 4, 2.5, True, "x", [], None]),
+        ({"enum": ["a", "b"]}, ["a", "c", ["a"], {"a": 1}, 0, None]),
+        ({"const": "a"}, ["a", "b", ["a"], True]),
+        ({"oneOf": [{"minimum": 2}, {"maximum": 5}]}, [1, 3, 6, "x"]),
+        ({"properties": {"a": {"type": "integer"}}, "patternProperties": {"^a": {"minimum": 2}},
+          "additionalProperties": False}, [{"a": 2}, {"a": 1}, {"ab": 1}, {"ab": 2}, {"b": 0}, 3]),
+        ({"minItems": 1, "maxItems": 2, "items": {"type": "array"}}, [[], [[]], [[], [], []], [1], {}]),
+        ({"if": {"required": ["a"]}, "then": {"maxProperties": 1}}, [{}, {"a": 1}, {"a": 1, "b": 2}, {"b": 1, "c": 2}]),
+        ({"allOf": [{"type": "object"}, {"minProperties": 1}]}, [{}, {"a": 1}, []]),
+    ],
+)
+def test_compiled_keywords_match_jsonschema(schema, instances):
+    # edge cases the shipped schema cannot show: bounds without a type and
+    # overlapping oneOf branches
+    predicate = cli._compile_schema(schema)
+    validator = jsonschema.Draft202012Validator(schema)
+    assert [predicate(x) for x in instances] == [validator.is_valid(x) for x in instances]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"task": "census", "ring": {"zmod": 12}, "bogus": 1},
+         "$: Additional properties are not allowed ('bogus' was unexpected)"),
+        ({"task": "census", "ring": {"zmod": 12}, "params": {"extra": 2}},
+         "$.params: {'extra': 2} is expected to be empty"),
+        ({"task": "partition", "ring": {"zmod": 12}},
+         "$: 'filter' is a required property"),
+        ({"task": "partition", "ring": {"zmod": 12}, "filter": {"mult_set": [1], "seeds": [[2]]}},
+         "$.filter: {'mult_set': [1], 'seeds': [[2]]} is not valid under any of the given schemas"),
+        ({"task": "partition", "ring": {"zmod": 12}, "filter": "lambd"},
+         "$.filter: 'lambd' is not valid under any of the given schemas"),
+        ({"task": "census", "ring": {"zmod": 12}, "colour": "red"},
+         "$: Additional properties are not allowed ('colour' was unexpected)"),
+        ({"task": "suite", "params": {"sweep_max_size": 17}},
+         "$: {'task': 'suite', 'params': {'sweep_max_size': 17}} is not valid under any of "
+         "the given schemas"),
+        ({"task": "census", "ring": {"zmod": True}},
+         "$.ring.zmod: True is not of type 'integer'"),
+        ({"task": "closure", "ring": {"zmod": 12}, "filter": "lambda",
+          "params": {"ideal_gens": [True]}},
+         "$.params.ideal_gens[0]: True is not of type 'integer'"),
+        ({"task": "monomial-decide",
+          "params": {"op": "decide", "mult_set": {"s": {"vars": {"0": 1}}}}},
+         "$.params.mult_set.s.vars: '0' does not match any of the regexes: '^[1-9][0-9]*$'"),
+        ({"task": "nope"},
+         "$.task: 'nope' is not one of ['enumerate', 'partition', 'closure', 'certify', "
+         "'suite', 'census', 'monomial-decide']"),
+    ],
+)
+def test_rejection_texts_are_pinned(doc, message):
+    with pytest.raises(SpecValidationError) as info:
+        validate_spec(doc)
+    assert str(info.value) == f"spec validation failed at {message}"
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "object", "properties": {"name": {"pattern": "^a"}}},
+        {"$defs": {"day": {"format": "date"}}, "items": {"$ref": "#/$defs/day"}},
+        {"else": True},
+        {"type": "string"},
+        {"type": ["integer", "null"]},
+        {"enum": ["text", 1]},
+        {"properties": {"flag": {"const": True}}},
+        {"$ref": "other-schema.json#/$defs/ring"},
+        {"$ref": "#/properties/task"},
+    ],
+)
+def test_schema_drift_is_an_internal_error(schema):
+    with pytest.raises(SpecPredicateError) as info:
+        cli._compile_schema(schema)
+    assert not isinstance(info.value, WorkbenchError)
+
+
+def test_predicate_schema_disagreement_is_not_input_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_spec_predicate", lambda: lambda doc: False)
+    spec = write_spec(tmp_path, {"ring": {"zmod": 12}})
+    with pytest.raises(SpecPredicateError):
+        main(["census", "--spec", spec])
+    assert "error:" not in capsys.readouterr().err
+
+
+def test_valid_spec_does_not_import_jsonschema():
+    script = textwrap.dedent(
+        """
+        import sys
+        from torsionlab.cli import validate_spec
+        from torsionlab.errors import SpecValidationError
+        validate_spec({"task": "census", "ring": {"zmod": 12}})
+        assert "jsonschema" not in sys.modules
+        try:
+            validate_spec({"task": "census", "ring": {"zmod": True}})
+        except SpecValidationError as exc:
+            print(exc)
+        """
+    )
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(torsionlab.__file__)))
+    pythonpath = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH", "")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "spec validation failed at $.ring.zmod: True is not of type 'integer'\n"
