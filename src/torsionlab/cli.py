@@ -12,7 +12,8 @@ instance path words the rejection, so the schema file stays the only
 grammar and jsonschema the only author of an error text.  Reports render
 as text or JSON; the JSON form is byte-identical
 across runs for a fixed spec and tool version, so timing is reported only
-in text mode.
+in text mode.  It is the bytes of ``json.dumps(report, sort_keys=True,
+indent=2)``, written by a small recursive writer (``render_json``).
 
 Exit codes: 0 on success, 1 on a theorem-suite counterexample or, under
 --expect-pass, on any refuted or exhausted decision, 2 on input errors
@@ -32,6 +33,7 @@ import re
 import sys
 import time
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .errors import SpecPredicateError, SpecValidationError, WorkbenchError
@@ -524,7 +526,49 @@ def execute(doc: dict, cap: int = DEFAULT_SIZE_CAP, budget: DecisionBudget = Dec
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    ``indent`` makes json.dumps run its pure-Python encoder; this writer
+    walks the report once and escapes strings with json's C routine."""
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(x, newline: str, out: list) -> None:
+    """Append the JSON of x to out; newline breaks a line at x's indent."""
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif x is None or x is True or x is False:
+        out.append(_JSON_CONSTANTS[x])
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        text = float.__repr__(x)
+        out.append(_JSON_NONFINITE.get(text, text))
+    elif isinstance(x, (dict, list, tuple)):
+        pairs = isinstance(x, dict)
+        if not x:
+            out.append("{}" if pairs else "[]")
+            return
+        inner = newline + "  "
+        sep = ("{" if pairs else "[") + inner
+        for item in sorted(x) if pairs else x:
+            out.append(sep)
+            if pairs:
+                out.append(_quote(item))
+                out.append(": ")
+                item = x[item]
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + ("}" if pairs else "]"))
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def render_text(report: dict, elapsed_ms: float) -> str:

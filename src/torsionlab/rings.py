@@ -4,7 +4,10 @@ Rings come from a small constructor grammar: integers mod n, binary
 products, quotients F_p[x]/(f) by a monic polynomial, and square-zero
 extensions F_p[x_1..x_k]/(x_i*x_j).  Elements are canonical indices
 0..size-1 backed by full addition/multiplication tables, so everything
-downstream is pure table arithmetic.
+downstream is pure table arithmetic.  The constructors build those tables
+a whole row at a time: a product composes each row from a row of each
+factor, and a polynomial quotient adds digit-wise and multiplies by
+Horner's rule on the digits, from its addition table and the map e -> x*e.
 
 Derived rings (quotients by an ideal, local factors) reuse the same
 representation but are never parsed from user input.
@@ -78,14 +81,7 @@ class FiniteRing:
         self._elem_labels = (
             tuple(elem_labels) if elem_labels is not None else tuple(str(i) for i in range(size))
         )
-        neg = [0] * size
-        for a in range(size):
-            row = add_table[a]
-            for b in range(size):
-                if row[b] == 0:
-                    neg[a] = b
-                    break
-        self._neg = neg
+        self._neg = [row.index(0) for row in add_table]
         self._cache: dict = {}
 
     def add(self, a: int, b: int) -> int:
@@ -116,9 +112,21 @@ def zmod(n: int, cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
         raise InvalidModulus(f"modulus must be at least 2, got {n}")
     if n > cap:
         raise SizeCapExceeded(f"Z/{n} exceeds size cap {cap}")
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
-    return FiniteRing(n, add, mul, 1 % n, f"Z/{n}", term={"zmod": n})
+    return FiniteRing(n, _cyclic_add(n), [[(a * b) % n for b in range(n)] for a in range(n)],
+                      1 % n, f"Z/{n}", term={"zmod": n})
+
+
+def _cyclic_add(n: int) -> list[list[int]]:
+    """Addition rows of Z/n: row a is range(n) rotated left by a."""
+    base = list(range(n))
+    return [base[a:] + base[:a] for a in range(n)]
+
+
+def _compose(ltab: Sequence[Sequence[int]], rtab: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The componentwise table of two tables, on indices l * len(rtab) + r,
+    one row at a time from a row of each factor."""
+    scaled = [[x * len(rtab) for x in row] for row in ltab]
+    return [[x + y for x in lrow for y in rrow] for lrow in scaled for rrow in rtab]
 
 
 def product_ring(left: FiniteRing, right: FiniteRing, cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
@@ -126,29 +134,27 @@ def product_ring(left: FiniteRing, right: FiniteRing, cap: int = DEFAULT_SIZE_CA
     size = left.size * right.size
     if size > cap:
         raise SizeCapExceeded(f"product of sizes {left.size}x{right.size} exceeds cap {cap}")
-    rs = right.size
-
-    def pack(l: int, r: int) -> int:
-        return l * rs + r
-
-    add = [[0] * size for _ in range(size)]
-    mul = [[0] * size for _ in range(size)]
-    for a in range(size):
-        la, ra = divmod(a, rs)
-        for b in range(size):
-            lb, rb = divmod(b, rs)
-            add[a][b] = pack(left.add(la, lb), right.add(ra, rb))
-            mul[a][b] = pack(left.mul(la, lb), right.mul(ra, rb))
-    labels = [
-        f"({left.elem_label(a // rs)},{right.elem_label(a % rs)})" for a in range(size)
-    ]
+    labels = [f"({a},{b})" for a in left._elem_labels for b in right._elem_labels]
     term = None
     if left.term is not None and right.term is not None:
         term = {"product": [left.term, right.term]}
     return FiniteRing(
-        size, add, mul, pack(left.one, right.one),
+        size, _compose(left._add, right._add), _compose(left._mul, right._mul),
+        left.one * right.size + right.one,
         f"{left.label} x {right.label}", term=term, elem_labels=labels,
     )
+
+
+def _digit_tables(p: int, d: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Addition rows of (Z/p)^d on base-p digit indices, as the product of d
+    copies of Z/p, and the scalar rows: row c holds c*b for every b."""
+    add = step = _cyclic_add(p)
+    for _ in range(d - 1):
+        add = _compose(step, add)
+    scal = [[0] * len(add)]
+    for _ in range(p - 1):  # c*b = (c-1)*b + b
+        scal.append([add[s][b] for b, s in enumerate(scal[-1])])
+    return add, scal
 
 
 def _digits(i: int, p: int, d: int) -> tuple[int, ...]:
@@ -158,13 +164,6 @@ def _digits(i: int, p: int, d: int) -> tuple[int, ...]:
         i, r = divmod(i, p)
         out.append(r)
     return tuple(out)
-
-
-def _undigits(vec: Sequence[int], p: int) -> int:
-    acc = 0
-    for c in reversed(vec):
-        acc = acc * p + c
-    return acc
 
 
 def _poly_label(coeffs: Sequence[int], var: str = "x") -> str:
@@ -195,44 +194,20 @@ def poly_quotient(p: int, coeffs: Sequence[int], cap: int = DEFAULT_SIZE_CAP) ->
     if size > cap:
         raise SizeCapExceeded(f"F_{p}[x]/(f) of size {size} exceeds cap {cap}")
 
-    # x^k mod f for k < 2d-1, as degree-<d coefficient vectors
-    reps: list[list[int]] = []
-    cur = [0] * d
-    cur[0] = 1
-    reps.append(list(cur))
-    for _ in range(2 * d - 2):
-        shifted = [0] + cur[:]
-        top = shifted.pop()
-        nxt = [(shifted[j] - top * coeffs[j]) % p for j in range(d)]
-        reps.append(list(nxt))
-        cur = nxt
-
-    add = [[0] * size for _ in range(size)]
-    mul = [[0] * size for _ in range(size)]
-    vecs = [_digits(i, p, d) for i in range(size)]
-    for a in range(size):
-        va = vecs[a]
-        for b in range(size):
-            vb = vecs[b]
-            add[a][b] = _undigits([(va[j] + vb[j]) % p for j in range(d)], p)
-            conv = [0] * (2 * d - 1)
-            for i_, ca in enumerate(va):
-                if ca:
-                    for j_, cb in enumerate(vb):
-                        if cb:
-                            conv[i_ + j_] = (conv[i_ + j_] + ca * cb) % p
-            acc = [0] * d
-            for k, ck in enumerate(conv):
-                if ck:
-                    rep = reps[k]
-                    acc = [(acc[j] + ck * rep[j]) % p for j in range(d)]
-            mul[a][b] = _undigits(acc, p)
-    labels = [_poly_label(vecs[i]) for i in range(size)]
+    add, scal = _digit_tables(p, d)
+    # x*e shifts the digits of e up and folds the top one back by x^d = -(f - x^d)
+    top = size // p
+    fold = sum(((-c) % p) * p**j for j, c in enumerate(coeffs[:d]))
+    xmul = [add[(e % top) * p][scal[e // top][fold]] for e in range(size)]
+    # Horner on the digits of a = a0 + x*a_hi: a*b = a0*b + x*(a_hi*b)
+    mul = scal[:]
+    for a in range(p, size):
+        mul.append([add[s][xmul[m]] for s, m in zip(scal[a % p], mul[a // p])])
     return FiniteRing(
         size, add, mul, 1,
         f"F{p}[x]/({_poly_label(coeffs)})",
         term={"polyquot": {"p": p, "f": list(coeffs)}},
-        elem_labels=labels,
+        elem_labels=[_poly_label(_digits(i, p, d)) for i in range(size)],
     )
 
 
@@ -249,19 +224,13 @@ def square_zero(p: int, k: int, cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     if size > cap:
         raise SizeCapExceeded(f"square-zero ring of size {size} exceeds cap {cap}")
 
-    vecs = [_digits(i, p, k + 1) for i in range(size)]
-    add = [[0] * size for _ in range(size)]
-    mul = [[0] * size for _ in range(size)]
+    add, scal = _digit_tables(p, k + 1)
+    # a*b = a0*b + b0*n for a = a0 + n with n nilpotent; b0 = b % p cycles with b
+    mul = []
     for a in range(size):
-        va = vecs[a]
-        for b in range(size):
-            vb = vecs[b]
-            add[a][b] = _undigits([(va[j] + vb[j]) % p for j in range(k + 1)], p)
-            prod = [0] * (k + 1)
-            prod[0] = (va[0] * vb[0]) % p
-            for j in range(1, k + 1):
-                prod[j] = (va[0] * vb[j] + va[j] * vb[0]) % p
-            mul[a][b] = _undigits(prod, p)
+        nil = a - a % p
+        cycle = [row[nil] for row in scal] * (size // p)
+        mul.append([add[s][t] for s, t in zip(scal[a % p], cycle)])
 
     names = [_SQZ_VARS[j] if j < len(_SQZ_VARS) else f"x{j + 1}" for j in range(k)]
 
@@ -280,7 +249,7 @@ def square_zero(p: int, k: int, cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
         size, add, mul, 1,
         f"F{p}[{var_list}]/({var_list})^2",
         term={"squarezero": {"p": p, "k": k}},
-        elem_labels=[lbl(v) for v in vecs],
+        elem_labels=[lbl(_digits(i, p, k + 1)) for i in range(size)],
     )
 
 
@@ -547,24 +516,24 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, RingMap]:
     """The quotient ring by an ideal, with its projection map."""
     if ideal.ring is not ring:
         raise RingMismatch("ideal not over the given ring")
-    coset_idx: dict[int, int] = {}
+    coset = [-1] * ring.size
     reps: list[int] = []
     for x in range(ring.size):
-        if x in coset_idx:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for v in ideal.elements:
-            coset_idx[ring.add(x, v)] = idx
-    size = len(reps)
-    add = [[coset_idx[ring.add(reps[a], reps[b])] for b in range(size)] for a in range(size)]
-    mul = [[coset_idx[ring.mul(reps[a], reps[b])] for b in range(size)] for a in range(size)]
+        if coset[x] < 0:
+            row = ring._add[x]
+            for v in ideal.elements:
+                coset[row[v]] = len(reps)
+            reps.append(x)
+
+    def rows(table) -> list[list[int]]:
+        return [[coset[row[b]] for b in reps] for row in map(table.__getitem__, reps)]
+
     labels = [f"[{ring.elem_label(r)}]" for r in reps]
     quotient = FiniteRing(
-        size, add, mul, coset_idx[ring.one],
+        len(reps), rows(ring._add), rows(ring._mul), coset[ring.one],
         f"{ring.label}/{ideal.label}", elem_labels=labels,
     )
-    proj = RingMap(ring, quotient, tuple(coset_idx[x] for x in range(ring.size)), kind="quotient")
+    proj = RingMap(ring, quotient, tuple(coset), kind="quotient")
     return quotient, proj
 
 

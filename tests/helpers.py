@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from torsionlab.rings import FiniteRing, Ideal
+from torsionlab.rings import FiniteRing, Ideal, _digits, _poly_label
 
 
 def ideal_by_linear_combinations(ring: FiniteRing, gens: list[int]) -> frozenset:
@@ -194,3 +194,117 @@ def sigma_principal_by_scan(ring, ideal: frozenset, members: set) -> tuple:
         if certificate is None and colon in members:
             certificate = (a, colon)
     return witness, certificate
+
+
+# -- ring tables, one entry at a time --------------------------------------------
+
+
+def _undigits(vec, p: int) -> int:
+    acc = 0
+    for c in reversed(vec):
+        acc = acc * p + c
+    return acc
+
+
+def zmod_by_entries(n: int) -> FiniteRing:
+    add = [[(a + b) % n for b in range(n)] for a in range(n)]
+    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
+    return FiniteRing(n, add, mul, 1 % n, f"Z/{n}")
+
+
+def product_by_entries(left: FiniteRing, right: FiniteRing) -> FiniteRing:
+    """Componentwise product, index l * right.size + r, every entry unpacked
+    with divmod and combined by the factors' add and mul."""
+    rs = right.size
+    size = left.size * rs
+    add = [[0] * size for _ in range(size)]
+    mul = [[0] * size for _ in range(size)]
+    for a in range(size):
+        la, ra = divmod(a, rs)
+        for b in range(size):
+            lb, rb = divmod(b, rs)
+            add[a][b] = left.add(la, lb) * rs + right.add(ra, rb)
+            mul[a][b] = left.mul(la, lb) * rs + right.mul(ra, rb)
+    labels = [f"({left.elem_label(a // rs)},{right.elem_label(a % rs)})" for a in range(size)]
+    return FiniteRing(size, add, mul, left.one * rs + right.one,
+                      f"{left.label} x {right.label}", elem_labels=labels)
+
+
+def poly_quotient_by_convolution(p: int, coeffs: list[int]) -> FiniteRing:
+    """F_p[x]/(f): each product is the convolution of two coefficient
+    vectors, reduced by the table of x^k mod f."""
+    coeffs = [c % p for c in coeffs]
+    d = len(coeffs) - 1
+    size = p**d
+    reps = [[1] + [0] * (d - 1)]  # x^k mod f for k < 2d-1
+    for _ in range(2 * d - 2):
+        shifted = [0] + reps[-1]
+        top = shifted.pop()
+        reps.append([(shifted[j] - top * coeffs[j]) % p for j in range(d)])
+    vecs = [_digits(i, p, d) for i in range(size)]
+    add = [[0] * size for _ in range(size)]
+    mul = [[0] * size for _ in range(size)]
+    for a, va in enumerate(vecs):
+        for b, vb in enumerate(vecs):
+            add[a][b] = _undigits([(x + y) % p for x, y in zip(va, vb)], p)
+            conv = [0] * (2 * d - 1)
+            for i, ca in enumerate(va):
+                if ca:
+                    for j, cb in enumerate(vb):
+                        if cb:
+                            conv[i + j] = (conv[i + j] + ca * cb) % p
+            acc = [0] * d
+            for k, ck in enumerate(conv):
+                if ck:
+                    acc = [(acc[j] + ck * reps[k][j]) % p for j in range(d)]
+            mul[a][b] = _undigits(acc, p)
+    return FiniteRing(size, add, mul, 1, f"F{p}[x]/({_poly_label(coeffs)})",
+                      elem_labels=[_poly_label(v) for v in vecs])
+
+
+def square_zero_by_entries(p: int, k: int) -> FiniteRing:
+    """F_p[x_1..x_k]/(x_i*x_j): (a0 + n)(b0 + m) = a0*b0 + a0*m + b0*n, digit by digit."""
+    size = p ** (k + 1)
+    vecs = [_digits(i, p, k + 1) for i in range(size)]
+    add = [[0] * size for _ in range(size)]
+    mul = [[0] * size for _ in range(size)]
+    for a, va in enumerate(vecs):
+        for b, vb in enumerate(vecs):
+            add[a][b] = _undigits([(x + y) % p for x, y in zip(va, vb)], p)
+            prod = [va[0] * vb[0] % p] + [
+                (va[0] * vb[j] + va[j] * vb[0]) % p for j in range(1, k + 1)
+            ]
+            mul[a][b] = _undigits(prod, p)
+    names = [("x", "y", "z")[j] if j < 3 else f"x{j + 1}" for j in range(k)]
+    labels = [
+        "+".join(([str(v[0])] if v[0] else [])
+                 + [("" if c == 1 else str(c)) + n for c, n in zip(v[1:], names) if c])
+        or "0"
+        for v in vecs
+    ]
+    var_list = ",".join(names)
+    return FiniteRing(size, add, mul, 1, f"F{p}[{var_list}]/({var_list})^2", elem_labels=labels)
+
+
+def ring_by_entries(term: dict) -> FiniteRing:
+    """The ring of a constructor term, its tables filled entry by entry."""
+    (kind, arg), = term.items()
+    if kind == "zmod":
+        return zmod_by_entries(arg)
+    if kind == "product":
+        return product_by_entries(ring_by_entries(arg[0]), ring_by_entries(arg[1]))
+    if kind == "polyquot":
+        return poly_quotient_by_convolution(arg["p"], arg["f"])
+    return square_zero_by_entries(arg["p"], arg["k"])
+
+
+def quotient_by_entries(ring: FiniteRing, ideal: frozenset) -> tuple[list, list, list]:
+    """(add, mul, projection) of ring/ideal: cosets numbered by least member
+    in order, each table entry the coset of ring.add or ring.mul on the
+    least members."""
+    cosets = sorted({min(ring.add(x, v) for v in ideal) for x in range(ring.size)})
+    number = {r: i for i, r in enumerate(cosets)}
+    proj = [number[min(ring.add(x, v) for v in ideal)] for x in range(ring.size)]
+    add = [[proj[ring.add(a, b)] for b in cosets] for a in cosets]
+    mul = [[proj[ring.mul(a, b)] for b in cosets] for a in cosets]
+    return add, mul, proj

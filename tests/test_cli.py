@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import os
 import random
@@ -13,6 +14,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import torsionlab
 from torsionlab import cli
@@ -305,6 +308,111 @@ def test_json_report_round_trips():
     doc = {"task": "census", "ring": {"zmod": 30}}
     report, _ = execute(doc)
     assert json.loads(render_json(report)) == report
+
+
+def dumps(x) -> str:
+    return json.dumps(x, sort_keys=True, indent=2) + "\n"
+
+
+_TEXT = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF))  # surrogates too
+_SCALARS = (
+    st.none() | st.booleans() | st.sampled_from([0, 1, -1, 1.0, -0.0, 1e16, 0.1])
+    | st.integers() | st.integers(min_value=-(10**30), max_value=10**30)
+    | st.floats() | _TEXT
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON)
+@example({"b": [], "a": {}, "c": ()})
+@example({"t": True, "f": False, "n": None, "0": 0, "1": 1, "x": [1.0, -0.0, 1e16, 0.1]})
+@example({"\u00e9\x00\ud800": ["\U0001f600\x1f\udfff", "\\\"/"]})
+def test_render_json_matches_json_dumps(value):
+    assert render_json(value) == dumps(value)
+
+
+_RING_TASKS = ("enumerate", "partition", "closure", "certify", "suite", "census")
+_INVALID = [
+    {"task": "census", "ring": {"zmod": 12}, "params": {"depth": 1}},
+    {"task": "partition", "ring": {"zmod": 12}},
+    {"task": "enumerate", "ring": {"zmod": 300}},
+    {"task": "enumerate", "ring": {"product": [{"zmod": 16}, {"zmod": 17}]}},
+    {"task": "enumerate", "ring": {"polyquot": {"p": 4, "f": [0, 1]}}},
+    {"task": "enumerate", "ring": {"polyquot": {"p": 3, "f": [1, 2]}}},
+    {"task": "enumerate", "ring": {"squarezero": {"p": 2, "k": 8}}},
+    {"task": "partition", "ring": {"zmod": 12}, "filter": {"mult_set": [0, 2]}},
+    {"task": "closure", "ring": {"zmod": 12}, "filter": "lambda", "params": {"ideal_gens": [12]}},
+    {"task": "census", "ring": {"zmod": True}},
+    {"task": "census", "ring": {"zmod": 1.5}},
+    {"task": "nope"},
+    {"task": "monomial-decide", "params": {"op": "decide", "mult_set": {"s": {"vars": {"1": 1}}},
+     "ideal": {"families": [{"base": {"vars": {"2": 1}}, "start": 2}]}}},
+]
+
+
+def interactive_specs() -> list[dict]:
+    """Every ring task on every catalog ring of size <= 12 under the lambda,
+    trivial and improper filters, two specs that echo schema integers given
+    as floats, then documents the workbench must reject."""
+    docs = []
+    for term in ring_catalog(12):
+        size = build_ring(term).size
+        for task in _RING_TASKS:
+            filters = (None,) if task in ("enumerate", "census") else ("lambda", "trivial", "improper")
+            for sigma in filters:
+                doc = {"task": task, "ring": term, "format": "json"}
+                if sigma:
+                    doc["filter"] = sigma
+                if task in ("closure", "certify"):
+                    doc["params"] = {"ideal_gens": [size // 2]}
+                docs.append(doc)
+    docs.append({"task": "closure", "ring": {"zmod": 12}, "filter": "lambda",
+                 "params": {"ideal_gens": [2.0]}, "format": "json"})
+    docs.append({"task": "census", "ring": {"polyquot": {"p": 2, "f": [1, 1, 1.0]}},
+                 "format": "json"})
+    return docs + _INVALID
+
+
+@pytest.fixture(scope="module")
+def interactive_outcomes() -> list:
+    """The report of each interactive spec, or the error that rejected it."""
+    out = []
+    for doc in interactive_specs():
+        try:
+            out.append(execute(doc)[0])
+        except WorkbenchError as exc:
+            out.append(exc)
+    return out
+
+
+def test_task_reports_render_as_json_dumps(interactive_outcomes):
+    reports = [r for r in interactive_outcomes if isinstance(r, dict)]
+    reports += [execute({"task": "monomial-decide", "params": p})[0]
+                for p in _MONOMIAL_PARAMS if p.get("ideal") is not _IDEAL]  # _IDEAL is rejected
+    assert {r["task"] for r in reports} == set(_RING_TASKS) | {"monomial-decide"}
+    for report in reports:
+        assert render_json(report) == dumps(report)
+
+
+def test_interactive_reports_are_pinned(interactive_outcomes):
+    # Byte-identity gate for rendered reports and rejection texts; the
+    # digest was taken before ring tables were built from rows and before
+    # render_json stopped calling json.dumps.
+    data = "".join(
+        f"error {type(r).__name__}: {r}\n" if isinstance(r, Exception) else render_json(r)
+        for r in interactive_outcomes
+    ).encode("utf-8")
+    assert len(data) == 504292
+    assert hashlib.sha256(data).hexdigest() == (
+        "0d775ae290015db87c5230eac2315a336b5145573d7c9a66e81914b3598907c5"
+    )
 
 
 # -- spec validation: compiled predicate, jsonschema wording ---------------------

@@ -48,6 +48,8 @@ from .helpers import (
     all_ideals_by_subset_scan,
     colon_by_scan,
     ideal_by_linear_combinations,
+    quotient_by_entries,
+    ring_by_entries,
 )
 
 
@@ -93,6 +95,42 @@ def test_square_zero_ring():
     assert r.mul(x, y) == 0
     assert r.mul(y, y) == 0
     assert r.add(x, y) == 6
+
+
+# rings at or near the size cap of 256
+_CAP_RINGS = [
+    {"polyquot": {"p": 2, "f": [0] * 8 + [1]}},
+    {"polyquot": {"p": 3, "f": [1, 2, 0, 0, 0, 1]}},
+    {"polyquot": {"p": 5, "f": [2, 0, 1]}},
+    {"product": [{"zmod": 16}, {"zmod": 16}]},
+    {"product": [{"polyquot": {"p": 2, "f": [0, 0, 0, 1]}}, {"zmod": 12}]},
+    {"squarezero": {"p": 2, "k": 7}},
+]
+
+
+@pytest.mark.parametrize("term", ring_catalog(16) + _CAP_RINGS, ids=str)
+def test_ring_tables_match_entrywise_oracle(term):
+    # the constructors compose whole rows; the oracle fills one entry at a
+    # time by digit vectors, divmod and polynomial convolution
+    ring, oracle = build_ring(term), ring_by_entries(term)
+    assert ring._add == oracle._add
+    assert ring._mul == oracle._mul
+    assert ring._neg == [next(b for b in range(ring.size) if ring.add(a, b) == 0)
+                         for a in range(ring.size)]
+    assert (ring.one, ring.label) == (oracle.one, oracle.label)
+    assert [ring.elem_label(a) for a in range(ring.size)] == [
+        oracle.elem_label(a) for a in range(ring.size)
+    ]
+
+
+@pytest.mark.parametrize("term", ring_catalog(16), ids=str)
+def test_quotient_tables_match_entrywise_oracle(term):
+    ring = build_ring(term)
+    for ideal in enumerate_ideals(ring):
+        quotient, proj = quotient_ring(ring, ideal)
+        add, mul, mapping = quotient_by_entries(ring, ideal.elements)
+        assert (quotient._add, quotient._mul, list(proj.mapping)) == (add, mul, mapping)
+        assert quotient.one == mapping[ring.one]
 
 
 def test_build_ring_grammar():
