@@ -498,11 +498,20 @@ _RUNNERS = {
 }
 
 
+def _schema_ints(x):
+    """x with every integral float made an int; strings and ints are kept uncalled."""
+    if isinstance(x, dict):
+        return {k: v if isinstance(v, (str, int)) else _schema_ints(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [v if isinstance(v, (str, int)) else _schema_ints(v) for v in x]
+    return int(x) if isinstance(x, float) and x.is_integer() else x
+
+
 def execute(doc: dict, cap: int = DEFAULT_SIZE_CAP, budget: DecisionBudget = DecisionBudget(),
             expect_pass: bool = False) -> tuple[dict, int]:
-    """Validate and run one workbench document; returns (report, exit code)."""
+    """Validate and run one document, integral floats read as ints; returns (report, exit code)."""
     validate_spec(doc)
-    results, counterexamples = _RUNNERS[doc["task"]](doc, cap, budget)
+    results, counterexamples = _RUNNERS[doc["task"]](_schema_ints(doc), cap, budget)
     report = {
         "schema": "workbench-report.v1",
         "version": __version__,

@@ -1,9 +1,15 @@
 """Gabriel filters and hereditary torsion machinery on finite rings.
 
-A filter is stored extensionally as a set of ideals.  The census and the
-closure keep only up-sets that pass the axiom check; every other
-constructor re-runs it, and a failure there means an implementation bug,
-not a bad input, and raises :class:`TheoremViolation`.
+A filter is stored extensionally as a set of ideals.  On a finite ring a
+set F of ideals is a Gabriel filter iff F = up(b), the ideals containing
+its least member b, and b*b = b.  Every filter is the up-set of its least
+member (it is closed under finite intersections), and up(b) is closed
+upward and under intersections.  If b*b != b, c = b*b is not in up(b) yet
+(c : x) contains b for every x in b: the Gabriel condition fails.  If
+b*b = b, a contains b and every (c : x), x in a, contains b, then c
+contains b*a, which contains b*b = b; so c is in up(b), as is every a*a'.
+Constructors decide by this rule; a member set that fails it is a bug and
+raises :class:`TheoremViolation`, worded by :func:`gabriel_check`.
 """
 
 from __future__ import annotations
@@ -93,8 +99,9 @@ def gabriel_check(ring: FiniteRing, members: Iterable[Ideal]) -> list[Violation]
     Checks, in order: non-emptiness, presence of the unit ideal, upward
     closure, closure under finite intersections, the Gabriel condition, and
     (derived, must follow from the others) closure under ideal products.
-    The axioms are stated once, in :func:`_violations`; callers that only
-    need a yes/no stop at its first violation.
+    The axioms are stated once, in :func:`_violations`.  Constructors decide
+    by the least-member rule of the module docstring and call this only to
+    word a rejection.
     """
     lat = ideal_lattice(ring)
     return list(_violations(lat, frozenset(lat.idx(a) for a in members)))
@@ -146,18 +153,18 @@ def _violations(lat: IdealLattice, member_idx: frozenset) -> Iterator[Violation]
                 )
 
 
-def _is_gabriel_upset(lat: IdealLattice, b: int) -> bool:
-    """Whether the up-set of ideal b satisfies every filter axiom."""
-    return next(_violations(lat, frozenset(lat.upset(b))), None) is None
-
-
 def _checked_filter(ring: FiniteRing, members: Iterable[Ideal], what: str) -> GabrielFilter:
+    """The filter with these members, decided by the least-member rule."""
     members = frozenset(members)
-    report = gabriel_check(ring, members)
-    if report:
+    lat = ideal_lattice(ring)
+    member_idx = frozenset(lat.idx(a) for a in members)
+    b = min(member_idx, default=None)
+    if b is None or member_idx != frozenset(lat.upset(b)) or lat.prod(b, b) != b:
+        report = gabriel_check(ring, members)
         raise TheoremViolation(
             f"{what} produced a non-Gabriel filter on {ring.label}: "
-            + "; ".join(v.describe() for v in report)
+            + ("; ".join(v.describe() for v in report)
+               or "no axiom fails, yet the least member is not idempotent")
         )
     return GabrielFilter(ring, members)
 
@@ -165,21 +172,18 @@ def _checked_filter(ring: FiniteRing, members: Iterable[Ideal], what: str) -> Ga
 def gabriel_closure(ring: FiniteRing, seeds: Iterable[Ideal]) -> GabrielFilter:
     """Least Gabriel filter containing the seeds.
 
-    On a finite ring every Gabriel filter is the up-set of its smallest
-    member, and an intersection of Gabriel filters is Gabriel, so the ideals
-    b whose up-set is Gabriel and contains the seeds (b <= the seeds' meet)
-    are closed under sums.  The answer is the up-set of the largest of them.
-    A proper sub-ideal has a smaller lattice index, so the scan runs down
-    from the meet's index and stops at the first b <= meet that passes.
+    A Gabriel filter is up(b) for an idempotent b (module docstring), and
+    it contains the seeds iff b <= their meet.  Idempotents are closed
+    under sums, as (b + c)*(b + c) contains b*b + c*c = b + c, so the answer
+    is up(b) for the largest idempotent b <= the meet.  A proper sub-ideal
+    has a smaller lattice index, so the scan runs down from the meet's index
+    and stops at the first b <= meet with b*b = b.
     """
     lat = ideal_lattice(ring)
     meet = lat.top
     for a in seeds:
         meet = lat.inter(meet, lat.idx(a))
-    up = lat.up_masks()
-    b = next(
-        b for b in range(meet, -1, -1) if up[b] >> meet & 1 and _is_gabriel_upset(lat, b)
-    )
+    b = next(b for b in range(meet, -1, -1) if lat.leq(b, meet) and lat.prod(b, b) == b)
     return GabrielFilter(ring, frozenset(lat.ideals[j] for j in lat.upset(b)))
 
 
@@ -243,15 +247,17 @@ def enumerate_gabriel_filters(ring: FiniteRing) -> tuple[GabrielFilter, ...]:
     """Every Gabriel filter on the ring.
 
     On a finite ring every filter of ideals is the up-set of its smallest
-    member (the intersection of finitely many members is a member), so it
-    suffices to test the up-set of each ideal.  The census acceptance test
-    cross-checks this against a raw subset scan of the ideal lattice.
+    member b, and up(b) is Gabriel iff b*b = b (module docstring): if not,
+    b*b is outside up(b) although (b*b : x) contains b for every x in b.
+    So the census keeps the up-set of each idempotent ideal.  The census
+    acceptance test cross-checks this against a raw subset scan of the
+    ideal lattice.
     """
     lat = ideal_lattice(ring)
     found = [
         GabrielFilter(ring, frozenset(lat.ideals[j] for j in lat.upset(b)))
         for b in range(lat.n)
-        if _is_gabriel_upset(lat, b)
+        if lat.prod(b, b) == b
     ]
     found.sort(key=lambda f: (len(f.members), tuple(a.sort_key() for a in f.sorted_members())))
     return tuple(found)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from torsionlab.rings import FiniteRing, Ideal, _digits, _poly_label
+from torsionlab.filters import gabriel_check
+from torsionlab.rings import FiniteRing, Ideal, _digits, _poly_label, enumerate_ideals
 
 
 def ideal_by_linear_combinations(ring: FiniteRing, gens: list[int]) -> frozenset:
@@ -92,6 +93,22 @@ def gabriel_filters_by_subset_scan(ring: FiniteRing, ideals: list[Ideal]) -> lis
                     break
         if ok:
             out.append(frozenset(member_set))
+    return out
+
+
+def gabriel_filters_by_upset_check(ring: FiniteRing) -> list[frozenset]:
+    """The up-set of each ideal that passes every axiom of gabriel_check.
+
+    Returns each filter as a frozenset of ideal element-sets.  Every filter
+    on a finite ring is the up-set of its least member, so this is the
+    census by the axioms, with no use of idempotence.
+    """
+    ideals = enumerate_ideals(ring)
+    out = []
+    for b in ideals:
+        up = [a for a in ideals if b.elements <= a.elements]
+        if not gabriel_check(ring, up):
+            out.append(frozenset(a.elements for a in up))
     return out
 
 

@@ -415,6 +415,72 @@ def test_interactive_reports_are_pinned(interactive_outcomes):
     )
 
 
+_WIDE_RING = {"squarezero": {"p": 2, "k": 6}}  # size 128, 2,826 ideals
+
+
+@pytest.mark.parametrize(
+    "doc, length, digest",
+    [
+        ({"task": "census", "ring": _WIDE_RING, "format": "json"},
+         587, "f641ffda79a940fa47eb48548a6dc22eb9ee031009ad94bd72324feb93cb0532"),
+        ({"task": "closure", "ring": _WIDE_RING, "filter": "improper",
+          "params": {"ideal_gens": [1]}, "format": "json"},
+         1905, "bc793cc784f305ed5aa28323d065f8fe2e262a2a1075e6e7a21fb5c7e46d6fef"),
+    ],
+    ids=["census", "improper-closure"],
+)
+def test_wide_ring_reports_are_pinned(doc, length, digest):
+    # the digests were taken while every up-set was still tested against
+    # all five filter axioms, when each of these specs took over 30 s
+    data = render_json(execute(doc)[0]).encode("utf-8")
+    assert len(data) == length
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def _as_floats(x):
+    """x with every int that is not a bool written as a float."""
+    if isinstance(x, dict):
+        return {k: _as_floats(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_as_floats(v) for v in x]
+    return float(x) if type(x) is int else x
+
+
+_INT_SPECS = [
+    {"task": "enumerate", "ring": {"zmod": 12}},
+    {"task": "suite", "params": {"sweep_max_size": 4}},
+    {"task": "closure", "ring": {"zmod": 12}, "filter": {"mult_set": [1, 5]},
+     "params": {"ideal_gens": [2]}},
+    {"task": "census", "ring": {"product": [{"squarezero": {"p": 2, "k": 2}}, {"zmod": 3}]}},
+    {"task": "partition", "ring": {"polyquot": {"p": 3, "f": [1, 0, 1]}},
+     "filter": {"prime_complement": {"ideal_gens": [0]}}},
+    {"task": "certify", "ring": {"zmod": 18}, "filter": {"seeds": [[3], [2]]},
+     "params": {"ideal_gens": [6]}},
+    {"task": "monomial-decide", "params": {
+        "op": "decide", "mult_set": {"s": {"vars": {"1": 1}}},
+        "ideal": {"gens": [{"vars": {"1": 2, "2": 1}}],
+                  "families": [{"base": {"vars": {"1": 1}}, "start": 3, "step": 2, "e": 1}]}}},
+    {"task": "monomial-decide", "params": {
+        "op": "cohen", "mult_set": {"s": {"vars": {"1": 1}}},
+        "primes": [{"finite": [1, 4]}, {"tail": {"start": 2, "step": 3}}]}},
+]
+
+
+@pytest.mark.parametrize("doc", _INT_SPECS, ids=[d["task"] for d in _INT_SPECS])
+def test_integers_given_as_floats_run_as_ints(doc):
+    # the schema takes 1.0 as an integer; the task must read it as 1 and
+    # the report echo the document as given
+    floated = _as_floats(doc)
+    assert repr(floated) != repr(doc)
+    report, code = execute(floated)
+    expected, expected_code = execute(doc)
+    assert code == expected_code
+    assert report["results"] == expected["results"]
+    assert report["counterexamples"] == expected["counterexamples"]
+    assert repr(report["spec_echo"]) == repr(floated)
+    check_report(report)
+
+
 # -- spec validation: compiled predicate, jsonschema wording ---------------------
 
 _RINGS = [

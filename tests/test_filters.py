@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from torsionlab import filters
 from torsionlab.errors import (
     NotMultiplicativelyClosed,
     NotPrime,
     RingMismatch,
+    TheoremViolation,
     UnsupportedMap,
 )
 from torsionlab.filters import (
@@ -49,7 +51,7 @@ from torsionlab.rings import (
     zmod,
 )
 
-from .helpers import gabriel_filters_by_subset_scan
+from .helpers import gabriel_filters_by_subset_scan, gabriel_filters_by_upset_check
 
 
 @pytest.fixture(scope="module")
@@ -105,15 +107,23 @@ def test_gabriel_closure_examples(z12):
     assert members_of(gabriel_closure(z12, [])) == {frozenset(range(12))}
 
 
-def test_gabriel_closure_matches_subset_scan():
+@pytest.fixture(scope="module")
+def catalog12_scans():
+    """(ring, every Gabriel filter by the raw subset scan) per size <= 12 catalog ring."""
+    out = []
+    for term in ring_catalog(12):
+        ring = build_ring(term)
+        out.append((ring, gabriel_filters_by_subset_scan(ring, list(enumerate_ideals(ring)))))
+    return out
+
+
+def test_gabriel_closure_matches_subset_scan(catalog12_scans):
     # every seed pair of every size <= 12 catalog ring: the closure is the
     # least filter containing both seeds among all filters the raw subset
     # scan finds
     cases = 0
-    for term in ring_catalog(12):
-        ring = build_ring(term)
+    for ring, scanned in catalog12_scans:
         ideals = enumerate_ideals(ring)
-        scanned = gabriel_filters_by_subset_scan(ring, list(ideals))
         for a, b in combinations_with_replacement(ideals, 2):
             over = [f for f in scanned if a.elements in f and b.elements in f]
             least = min(over, key=len)
@@ -191,6 +201,74 @@ def test_enumerate_matches_subset_scan(n):
     scan = gabriel_filters_by_subset_scan(ring, list(enumerate_ideals(ring)))
     ours = {frozenset(a.elements for a in f.members) for f in enumerate_gabriel_filters(ring)}
     assert ours == set(scan)
+
+
+def test_census_matches_subset_scan_on_catalog(catalog12_scans):
+    for ring, scanned in catalog12_scans:
+        census = [frozenset(members_of(f)) for f in enumerate_gabriel_filters(ring)]
+        assert len(census) == len(scanned) and set(census) == set(scanned), ring.label
+
+
+def test_census_matches_upset_axiom_check():
+    # the census by idempotent least members against the up-sets that pass
+    # all five axioms, over every size <= 16 catalog ring
+    filters_seen = 0
+    for term in ring_catalog(16):
+        ring = build_ring(term)
+        census = [frozenset(members_of(f)) for f in enumerate_gabriel_filters(ring)]
+        checked = gabriel_filters_by_upset_check(ring)
+        assert len(census) == len(checked) and set(census) == set(checked), ring.label
+        filters_seen += len(census)
+    assert filters_seen == 130
+
+
+def test_least_member_rule_agrees_with_gabriel_check():
+    # every member set of every size <= 16 catalog ring with at most 12
+    # ideals: _checked_filter accepts it iff gabriel_check reports nothing
+    sets_seen = accepted = 0
+    for term in ring_catalog(16):
+        ring = build_ring(term)
+        ideals = enumerate_ideals(ring)
+        if len(ideals) > 12:
+            continue
+        for k in range(len(ideals) + 1):
+            for members in combinations(ideals, k):
+                gabriel = gabriel_check(ring, members) == []
+                try:
+                    filters._checked_filter(ring, members, "probe")
+                except TheoremViolation:
+                    assert not gabriel, (ring.label, members)
+                else:
+                    assert gabriel, (ring.label, members)
+                    accepted += 1
+                sets_seen += 1
+    assert sets_seen == 6216
+    assert accepted > 0
+
+
+@pytest.mark.parametrize(
+    "n, gens, axiom",
+    [(12, [(3,)], "upward-closure"), (4, [(2,), (1,)], "gabriel-condition")],
+)
+def test_checked_filter_words_rejection_by_gabriel_check(n, gens, axiom):
+    ring = zmod(n)
+    members = [ideal_of(ring, *g) for g in gens]
+    report = gabriel_check(ring, members)
+    assert axiom in {v.axiom for v in report}
+    expected = f"probe produced a non-Gabriel filter on Z/{n}: " + "; ".join(
+        v.describe() for v in report
+    )
+    with pytest.raises(TheoremViolation) as caught:
+        filters._checked_filter(ring, members, "probe")
+    assert str(caught.value) == expected
+
+
+def test_checked_filter_rejects_when_no_axiom_is_reported(monkeypatch):
+    # the rule and the axioms disagreeing is a bug, not an accepted filter
+    z4 = zmod(4)
+    monkeypatch.setattr(filters, "gabriel_check", lambda ring, members: [])
+    with pytest.raises(TheoremViolation, match="least member is not idempotent"):
+        filters._checked_filter(z4, [ideal_of(z4, 2), unit_ideal(z4)], "probe")
 
 
 def test_every_constructed_filter_passes_check(z12):
