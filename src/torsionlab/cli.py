@@ -379,15 +379,13 @@ def _run_certify(doc: dict, cap: int, budget: DecisionBudget) -> tuple[dict, lis
 
 def _run_suite(doc: dict, cap: int, budget: DecisionBudget) -> tuple[dict, list]:
     params = doc.get("params", {})
-    pairs: list[tuple[FiniteRing, GabrielFilter]] = []
     if "sweep_max_size" in params:
-        for term in ring_catalog(params["sweep_max_size"]):
-            ring = build_ring(term, cap)
-            for sigma in enumerate_gabriel_filters(ring):
-                pairs.append((ring, sigma))
+        # a ring at a time, so a sweep holds the lattices of one ring only
+        rings = (build_ring(term, cap) for term in ring_catalog(params["sweep_max_size"]))
+        pairs = ((ring, sigma) for ring in rings for sigma in enumerate_gabriel_filters(ring))
     else:
         ring = build_ring(doc["ring"], cap)
-        pairs.append((ring, build_filter(ring, doc["filter"])))
+        pairs = [(ring, build_filter(ring, doc["filter"]))]
     reports = []
     counterexamples = []
     for ring, sigma in pairs:

@@ -15,10 +15,10 @@ raises :class:`TheoremViolation`, worded by :func:`gabriel_check`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    InvalidArgument,
     NotASubmodule,
     NotMultiplicativelyClosed,
     NotPrime,
@@ -38,6 +38,7 @@ from .rings import (
     Ideal,
     IdealLattice,
     RingMap,
+    _check_element,
     enumerate_ideals,
     ideal_lattice,
     ideal_product,
@@ -58,12 +59,15 @@ class GabrielFilter:
 
     @property
     def basis(self) -> tuple[Ideal, ...]:
-        """Minimal members under inclusion."""
-        out = [
-            a for a in self.members
-            if not any(b.elements < a.elements for b in self.members)
-        ]
-        return tuple(sorted(out, key=Ideal.sort_key))
+        """Minimal members under inclusion, in lattice order: one OR of the
+        members' strict up-sets marks every member that is not minimal."""
+        lat = ideal_lattice(self.ring)
+        up = lat.up_masks()
+        member_idx = self.member_indices()
+        above = 0
+        for b in member_idx:
+            above |= up[b] & ~(1 << b)
+        return tuple(lat.ideals[b] for b in sorted(member_idx) if not above >> b & 1)
 
     @property
     def label(self) -> str:
@@ -180,9 +184,7 @@ def gabriel_closure(ring: FiniteRing, seeds: Iterable[Ideal]) -> GabrielFilter:
     and stops at the first b <= meet with b*b = b.
     """
     lat = ideal_lattice(ring)
-    meet = lat.top
-    for a in seeds:
-        meet = lat.inter(meet, lat.idx(a))
+    meet = reduce(lat.inter, (lat.idx(a) for a in seeds), lat.top)
     b = next(b for b in range(meet, -1, -1) if lat.leq(b, meet) and lat.prod(b, b) == b)
     return GabrielFilter(ring, frozenset(lat.ideals[j] for j in lat.upset(b)))
 
@@ -191,8 +193,7 @@ def filter_from_mult_set(ring: FiniteRing, mult_set: Iterable[int]) -> GabrielFi
     """The filter {a : a meets the multiplicatively closed set}."""
     sigma = sorted(set(mult_set))
     for s in sigma:
-        if not (0 <= s < ring.size):
-            raise InvalidArgument(f"{s} is not an element of {ring.label}")
+        _check_element(ring, s)
     if ring.one not in sigma:
         raise NotMultiplicativelyClosed("the set does not contain 1")
     for s in sigma:
@@ -440,9 +441,7 @@ def jansian_status(sigma: GabrielFilter) -> JansianStatus:
     ring = sigma.ring
     lat = ideal_lattice(ring)
     member_idx = sorted(sigma.member_indices())
-    bottom = member_idx[0]
-    for i in member_idx[1:]:
-        bottom = lat.inter(bottom, i)
+    bottom = reduce(lat.inter, member_idx)
     basis_ideal = lat.ideals[bottom]
     is_jansian = frozenset(lat.upset(bottom)) == frozenset(member_idx)
     if is_jansian:

@@ -24,6 +24,7 @@ from .rings import (
     Ideal,
     SubobjectLattice,
     _Rows,
+    _check_element,
     _subgroup_sum,
     ideal_lattice,
 )
@@ -211,6 +212,7 @@ def is_submodule(module: FiniteModule, indices: frozenset) -> bool:
 def element_annihilator(module: FiniteModule, i: int) -> Ideal:
     """The ideal (0 : m) for the element with index i."""
     ring = module.ring
+    _check_element(module, i)
     return Ideal(
         ring,
         frozenset(a for a in range(ring.size) if module.scalar(a, i) == module.zero),
@@ -233,7 +235,7 @@ def span(module: FiniteModule, gens: Iterable[int]) -> frozenset:
     """Submodule generated by the given element indices."""
     out = frozenset({module.zero})
     for g in gens:
-        cyc = frozenset(module.orbit_rows[g])
+        cyc = frozenset(module.orbit_rows[_check_element(module, g)])
         if not cyc <= out:
             out = _subgroup_sum(module.add_rows, out, cyc)
     return out

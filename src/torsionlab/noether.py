@@ -45,6 +45,8 @@ from .modules import (
 from .rings import (
     FiniteRing,
     Ideal,
+    _bits,
+    _mask,
     ideal_lattice,
     identity_map,
     local_decomposition,
@@ -185,10 +187,8 @@ def _colon_witness(lat, n_idx: int, members: frozenset) -> int | None:
     """
     rl = lat.ring_lattice
     up = rl.up_masks()
-    occurring = 0
-    for c in set(lat.colon_row(n_idx)):
-        occurring |= 1 << c
-    occurring_members = occurring & sum(1 << c for c in members)
+    occurring = _mask(set(lat.colon_row(n_idx)))
+    occurring_members = occurring & _mask(members)
     # ring-lattice indices follow Ideal.sort_key, so ties go to the smaller index
     for h_idx in sorted(members, key=lambda i: (-len(rl.sets[i]), i)):
         if up[h_idx] & occurring == occurring_members:
@@ -256,16 +256,6 @@ def _upper_closure(lat, family: Sequence[int], members: frozenset) -> int:
             if c in members:
                 found |= 1 << h
     return found
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of a mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def is_upper_closed(
@@ -409,7 +399,7 @@ def sigma_principal_status(ideal: Ideal, sigma: GabrielFilter) -> SigmaPrincipal
 
 def _principal_indices(rl) -> list[int]:
     """Ring-lattice index of the principal ideal aA, for each element a."""
-    return [rl.index[rl.cyclic(a)] for a in range(rl.size)]
+    return [rl.index_by_mask[m] for m in rl.cyclic_masks]
 
 
 def _sigma_principal(

@@ -14,11 +14,15 @@ representation but are never parsed from user input.
 
 :class:`SubobjectLattice` is the one lattice engine: it indexes the ideals
 of a ring or the submodules of a module and memoizes their arithmetic
-(sums, meets, products, colons, order) and computes closures from it.  It
+(sums, products, colons, order) and computes closures from it.  It
 reads two tables of the carrier, addition rows and orbit rows, and never
-calls element arithmetic.  Its own results are tables too: the colon
-matrix, whose row i and column j hold (N_i : N_j), and the up-sets as int
-bitmasks, from which sums are read.  :class:`IdealLattice` runs it on the
+calls element arithmetic.  Each sub-object also gets an int mask over the
+carrier, bit x set iff x is in it, so order tests and meets are mask
+operations, and a colon (N_i : x) is looked up by N_i & Ax in a memo per
+element x that every colon row shares.  Its own results are tables too:
+the colon matrix, whose row i and column j hold (N_i : N_j), and the
+up-sets as int bitmasks, from which sums, products and greedy generators
+are read.  :class:`IdealLattice` runs it on the
 ring's own addition and multiplication tables; :class:`torsionlab.modules.SubmoduleLattice`
 runs it on module rows, which the module builds from its coset arithmetic
 the first time the engine reads them.
@@ -27,7 +31,9 @@ the first time the engine reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
+from operator import and_
 from typing import Collection, Iterable, Sequence
 
 from .errors import (
@@ -349,6 +355,21 @@ class _Rows(dict):
         return row
 
 
+def _mask(elems: Iterable[int]) -> int:
+    """The int with bit x set for each x of a set of elements."""
+    return sum(map((1).__lshift__, elems))
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _subgroup_sum(add, u: frozenset, c: frozenset) -> frozenset:
     """Sum of two additive subgroups, built as a union of u-cosets.
 
@@ -360,19 +381,6 @@ def _subgroup_sum(add, u: frozenset, c: frozenset) -> frozenset:
         if w not in res:
             res.update(map(add[w].__getitem__, u))
     return frozenset(res)
-
-
-def is_ideal(ring: FiniteRing, elems: frozenset) -> bool:
-    if ring.zero not in elems:
-        return False
-    for a in elems:
-        for b in elems:
-            if ring.add(a, b) not in elems:
-                return False
-        for r in range(ring.size):
-            if ring.mul(r, a) not in elems:
-                return False
-    return True
 
 
 def ideal_from_generators(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
@@ -391,11 +399,17 @@ def unit_ideal(ring: FiniteRing) -> Ideal:
     return Ideal(ring, frozenset(range(ring.size)))
 
 
+def _check_element(carrier, x: int) -> int:
+    """x, if it indexes an element of the ring or module; else InvalidArgument."""
+    if not 0 <= x < carrier.size:
+        raise InvalidArgument(f"{x} is not an element of {carrier.label}")
+    return x
+
+
 def principal_ideal(ring: FiniteRing, x: int) -> Ideal:
-    if not (0 <= x < ring.size):
-        raise InvalidArgument(f"{x} is not an element of {ring.label}")
+    _check_element(ring, x)
     lat = ideal_lattice(ring)
-    return lat.ideals[lat.index[lat.cyclic(x)]]
+    return lat.ideals[lat.index_by_mask[lat.cyclic_masks[x]]]
 
 
 def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
@@ -419,7 +433,7 @@ def ideal_intersect(i: Ideal, j: Ideal) -> Ideal:
 def colon_element(i: Ideal, b: int) -> Ideal:
     """The ideal (i : b) = {a : a*b in i}, read off the lattice's colon row of i."""
     lat = ideal_lattice(i.ring)
-    return lat.ideals[lat.colon_row(lat.idx(i))[b]]
+    return lat.ideals[lat.colon_row(lat.idx(i))[_check_element(i.ring, b)]]
 
 
 def colon(i: Ideal, j: Ideal) -> Ideal:
@@ -439,27 +453,12 @@ def enumerate_ideals(ring: FiniteRing) -> tuple[Ideal, ...]:
 
 
 def prime_spectrum(ring: FiniteRing) -> tuple[Ideal, ...]:
-    """All prime ideals: proper ideals whose quotient has no zero divisors."""
-    if "spectrum" in ring._cache:
-        return ring._cache["spectrum"]
-    primes = []
-    for ideal in enumerate_ideals(ring):
-        if len(ideal.elements) == ring.size:
-            continue
-        is_prime_ideal = True
-        outside = [a for a in range(ring.size) if a not in ideal.elements]
-        for a in outside:
-            for b in outside:
-                if ring.mul(a, b) in ideal.elements:
-                    is_prime_ideal = False
-                    break
-            if not is_prime_ideal:
-                break
-        if is_prime_ideal:
-            primes.append(ideal)
-    out = tuple(primes)
-    ring._cache["spectrum"] = out
-    return out
+    """All prime ideals, in lattice order: a finite domain is a field, so
+    these are the maximal members of the proper ideals."""
+    if "spectrum" not in ring._cache:
+        lat = ideal_lattice(ring)
+        ring._cache["spectrum"] = tuple(lat.ideals[i] for i in lat.maximal(range(lat.top)))
+    return ring._cache["spectrum"]
 
 
 def minimal_generators(ideal: Ideal) -> tuple[int, ...]:
@@ -539,6 +538,8 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, RingMap]:
 
 def primitive_idempotents(ring: FiniteRing) -> tuple[int, ...]:
     """Atoms of the Boolean algebra of idempotents (e <= f iff e*f == e)."""
+    if "idempotents" in ring._cache:
+        return ring._cache["idempotents"]
     idem = [e for e in range(1, ring.size) if ring.mul(e, e) == e]
     atoms = []
     for e in idem:
@@ -553,17 +554,8 @@ def primitive_idempotents(ring: FiniteRing) -> tuple[int, ...]:
         raise TheoremViolation(
             f"primitive idempotents of {ring.label} are not orthogonal with sum 1: {atoms}"
         )
-    return tuple(atoms)
-
-
-def _nonunits(ring: FiniteRing) -> frozenset:
-    units = set()
-    for a in range(ring.size):
-        for b in range(ring.size):
-            if ring.mul(a, b) == ring.one:
-                units.add(a)
-                break
-    return frozenset(x for x in range(ring.size) if x not in units)
+    ring._cache["idempotents"] = tuple(atoms)
+    return ring._cache["idempotents"]
 
 
 def local_decomposition(ring: FiniteRing) -> list[tuple[FiniteRing, RingMap]]:
@@ -583,14 +575,13 @@ def local_decomposition(ring: FiniteRing) -> list[tuple[FiniteRing, RingMap]]:
     for e in atoms:
         complement = principal_ideal(ring, ring.add(ring.one, ring.neg(e)))
         factor, proj = quotient_ring(ring, complement)
-        max_ideal = _nonunits(factor)
-        if not is_ideal(factor, max_ideal):
+        # every prime holds e or 1 - e, so the primes missing e are the
+        # pullbacks of the factor's maximal ideals
+        pullbacks = [p for p in prime_spectrum(ring) if e not in p]
+        if len(pullbacks) != 1:
             raise TheoremViolation(f"factor {factor.label} is not local")
-        pullback = frozenset(
-            x for x in range(ring.size) if proj.mapping[x] in max_ideal
-        )
         residue_char = min(p for p in range(2, factor.size + 1) if factor.size % p == 0)
-        factors.append(((residue_char, len(pullback), tuple(sorted(pullback))), factor, proj))
+        factors.append(((residue_char, *pullbacks[0].sort_key()), factor, proj))
     factors.sort(key=lambda t: t[0])
     out = [(factor, proj) for _, factor, proj in factors]
     ring._cache["local_decomposition"] = out
@@ -602,9 +593,7 @@ def localize_at_prime(ring: FiniteRing, p: Ideal) -> tuple[FiniteRing, RingMap]:
     if p not in prime_spectrum(ring):
         raise NotPrime(f"{p.label} is not a prime ideal of {ring.label}")
     for factor, proj in local_decomposition(ring):
-        max_ideal = _nonunits(factor)
-        pullback = frozenset(x for x in range(ring.size) if proj.mapping[x] in max_ideal)
-        if pullback == p.elements:
+        if factor.one not in proj.image_ideal(p):  # p is the pullback of a proper ideal
             return factor, proj
     raise TheoremViolation(f"no local factor of {ring.label} matches prime {p.label}")
 
@@ -623,12 +612,19 @@ class SubobjectLattice:
     returns an indexable row for each element will do.  Its sub-objects (the
     ideals of a ring, the submodules of a module) are the additive
     subgroups closed under the action.  They get stable indices, ordered by
-    cardinality and then by sorted elements; meets, products with ideals,
-    sums and colons become memoized index lookups, and closures are read off
-    the memoized colon rows.  Colons are ideals, indexed in ``ring_lattice``,
+    cardinality and then by sorted elements; products with ideals, sums and
+    colons become memoized index lookups, and closures are read off the
+    memoized colon rows.  Colons are ideals, indexed in ``ring_lattice``,
     the ideal lattice of the base ring.  Hot loops read the tables directly:
     ``colon_matrix()[i][j]`` is ``pair_colon(i, j)``, ``sum_matrix()[i][j]``
     is ``sum(i, j)``, and bit j of ``up_masks()[i]`` is ``leq(i, j)``.
+
+    ``masks[i]`` has bit x set iff x is in N_i, and ``index_by_mask`` maps
+    it back to i, as ``index`` maps the element set.  N_i <= N_j is
+    ``masks[i] & ~masks[j] == 0`` and the meet is one lookup of
+    ``masks[i] & masks[j]``.  A sum, a product and the next greedy
+    generator's span are joins, each the lowest common bit of two up-set
+    masks.
     """
 
     def __init__(
@@ -640,19 +636,27 @@ class SubobjectLattice:
         self._add = add
         self._orbit = orbit
         self.ring_lattice = ring_lattice
-        self._cyclics: dict[int, frozenset] = {}
         self.sets = tuple(sorted(self._enumerate(), key=lambda s: (len(s), tuple(sorted(s)))))
+        self.masks = tuple(map(_mask, self.sets))
         self.index = {s: i for i, s in enumerate(self.sets)}
+        self.index_by_mask = {m: i for i, m in enumerate(self.masks)}
+        # cyclic_masks[x] is the mask of Ax, the least sub-object holding x
+        self.cyclic_masks = [0] * size
+        seen = 0
+        for m in self.masks:
+            for x in _bits(m & ~seen):
+                self.cyclic_masks[x] = m
+            seen |= m
         self.n = len(self.sets)
-        self.zero = self.index[frozenset({0})]
-        self.top = self.index[frozenset(range(size))]
+        self.zero = 0  # {0} is the one sub-object of size 1
+        self.top = self.n - 1
         self._colon_rows: dict[int, tuple[int, ...]] = {}
+        self._preimages: list[dict[int, int]] = []
         self._colon_matrix = _Rows(self._colon_matrix_row)
         self._sum_matrix = _Rows(self._sum_matrix_row)
-        self._min_gens: dict[int, tuple[int, ...]] = {}
-        self._inter: dict[tuple[int, int], int] = {}
+        self._min_gens = _Rows(self._greedy_gens)
         self._prod: dict[tuple[int, int], int] = {}
-        self._upsets: dict[int, tuple[int, ...]] = {}
+        self._upsets = _Rows(lambda i: tuple(_bits(self.up_masks()[i])))
         self._up_masks: list[int] | None = None
         self._incl_pairs: list[tuple[int, int]] | None = None
         self._covers: dict[int, tuple[int, ...]] | None = None
@@ -681,7 +685,7 @@ class SubobjectLattice:
 
     def _join_closure(self, scope: Iterable[int]) -> set[frozenset]:
         """Every sub-object generated inside scope: all joins of its cyclic ones."""
-        cyclics = list(dict.fromkeys(self.cyclic(x) for x in sorted(scope)))
+        cyclics = list(dict.fromkeys(frozenset(self._orbit[x]) for x in sorted(scope)))
         zero = frozenset({0})
         found = {zero}
         work = [zero]
@@ -696,12 +700,6 @@ class SubobjectLattice:
                     work.append(v)
         return found
 
-    def cyclic(self, x: int) -> frozenset:
-        """The sub-object generated by one element: its orbit under the ring."""
-        if x not in self._cyclics:
-            self._cyclics[x] = frozenset(self._orbit[x])
-        return self._cyclics[x]
-
     # -- order ---------------------------------------------------------------
 
     def idx(self, s: frozenset) -> int:
@@ -711,27 +709,29 @@ class SubobjectLattice:
             raise InvalidArgument(f"{sorted(s)} is not {self.kind}") from None
 
     def leq(self, i: int, j: int) -> bool:
-        return self.sets[i] <= self.sets[j]
+        return not self.masks[i] & ~self.masks[j]
 
     def upset(self, i: int) -> tuple[int, ...]:
         """Indices of the sub-objects containing N_i, ascending; i comes first."""
-        if i not in self._upsets:
-            s = self.sets[i]
-            self._upsets[i] = tuple(j for j in range(i, self.n) if s <= self.sets[j])
         return self._upsets[i]
 
     def up_masks(self) -> list[int]:
-        """The up-sets as int bitmasks: bit j of entry i is set iff N_i <= N_j."""
+        """The up-sets as int bitmasks: bit j of entry i is set iff N_i <= N_j.
+
+        Column x has bit j set iff x is in N_j, and N_i <= N_j iff N_j holds
+        every x of N_i, so entry i is the AND of the columns of N_i.
+        """
         if self._up_masks is None:
-            self._up_masks = [sum(1 << j for j in self.upset(i)) for i in range(self.n)]
+            cols = [0] * self.size
+            for j, s in enumerate(self.sets):
+                for x in s:
+                    cols[x] |= 1 << j
+            self._up_masks = [reduce(and_, map(cols.__getitem__, s)) for s in self.sets]
         return self._up_masks
 
     def maximal(self, family: Collection[int]) -> list[int]:
         """The members of a family of indices that no other member contains."""
-        up = self.up_masks()
-        fam = 0
-        for i in family:
-            fam |= 1 << i
+        up, fam = self.up_masks(), _mask(set(family))
         return [i for i in family if up[i] & fam == 1 << i]
 
     def inclusion_pairs(self) -> list[tuple[int, int]]:
@@ -774,25 +774,29 @@ class SubobjectLattice:
 
     def min_gens(self, i: int) -> tuple[int, ...]:
         """Greedy minimal generators of N_i (largest span growth, smallest index)."""
-        if i not in self._min_gens:
-            target = self.sets[i]
-            gens: list[int] = []
-            cur = frozenset({0})
-            while cur != target:
-                best_x = -1
-                best_size = 0
-                for x in sorted(target):
-                    if x in cur:
-                        continue
-                    cyc = self.cyclic(x)
-                    size = len(cur) * len(cyc) // len(cur & cyc)
-                    if size > best_size:
-                        best_size = size
-                        best_x = x
-                gens.append(best_x)
-                cur = _subgroup_sum(self._add, cur, self.cyclic(best_x))
-            self._min_gens[i] = tuple(gens)
         return self._min_gens[i]
+
+    def _greedy_gens(self, i: int) -> tuple[int, ...]:
+        """The greedy generators of N_i; N + Ax has |Ax| / |N & Ax| times as
+        many elements as N, and is reached by a join."""
+        target, cyclic_masks = sorted(self.sets[i]), self.cyclic_masks
+        gens: list[int] = []
+        cur = self.zero
+        while cur != i:
+            cur_mask = self.masks[cur]
+            best_x = -1
+            best_size = 0
+            for x in target:
+                if cur_mask >> x & 1:
+                    continue
+                cyc = cyclic_masks[x]
+                size = cyc.bit_count() // (cur_mask & cyc).bit_count()
+                if size > best_size:
+                    best_size = size
+                    best_x = x
+            gens.append(best_x)
+            cur = self._join(cur, self.index_by_mask[cyclic_masks[best_x]])
+        return tuple(gens)
 
     def sum(self, i: int, j: int) -> int:
         """Index of N_i + N_j."""
@@ -815,36 +819,43 @@ class SubobjectLattice:
             out.append((common & -common).bit_length() - 1)
         return tuple(out)
 
+    def _join(self, i: int, j: int) -> int:
+        """Index of N_i + N_j, read off the up-set masks as a sum-matrix row is."""
+        up = self.up_masks()
+        common = up[i] & up[j]
+        return (common & -common).bit_length() - 1
+
     def inter(self, i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        if key not in self._inter:
-            self._inter[key] = self.index[self.sets[i] & self.sets[j]]
-        return self._inter[key]
+        return self.index_by_mask[self.masks[i] & self.masks[j]]
 
     def prod(self, i: int, a: int) -> int:
         """Index of N_i * a for a ring-lattice ideal index a."""
         key = (i, a)
         if key not in self._prod:
             ideal = self.ring_lattice.sets[a]
-            out = frozenset({0})
+            out = self.zero
             for g in self.min_gens(i):
-                piece = frozenset(map(self._orbit[g].__getitem__, ideal))
-                if not piece <= out:
-                    out = _subgroup_sum(self._add, out, piece)
-            self._prod[key] = self.index[out]
+                # g*a is a sub-object, so N_i * a is the sum of these pieces
+                piece = self.index[frozenset(map(self._orbit[g].__getitem__, ideal))]
+                out = self._join(out, piece)
+            self._prod[key] = out
         return self._prod[key]
 
     def colon_row(self, i: int) -> tuple[int, ...]:
-        """For each carrier element x, the ring-lattice index of (N_i : x)."""
+        """For each carrier element x, the ring-lattice index of (N_i : x).
+
+        (N_i : x) is the preimage of N_i & Ax under a -> a*x, so a memo per x,
+        shared by every row, looks it up by that mask."""
         if i not in self._colon_rows:
-            in_sub = self.sets[i].__contains__
-            ring_elems = range(self.ring.size)
-            ring_index = self.ring_lattice.index
-            orbit = self._orbit
-            self._colon_rows[i] = tuple(
-                ring_index[frozenset(compress(ring_elems, map(in_sub, orbit[x])))]
-                for x in range(self.size)
-            )
+            if not self._preimages:
+                self._preimages = [{} for _ in range(self.size)]
+            keys = list(map(self.masks[i].__and__, self.cyclic_masks))
+            row = list(map(dict.get, self._preimages, keys))
+            in_sub, ring_elems = self.sets[i].__contains__, range(self.ring.size)
+            for x in [x for x, c in enumerate(row) if c is None]:
+                preimage = frozenset(compress(ring_elems, map(in_sub, self._orbit[x])))
+                row[x] = self._preimages[x][keys[x]] = self.ring_lattice.index[preimage]
+            self._colon_rows[i] = tuple(row)
         return self._colon_rows[i]
 
     def colon_matrix(self) -> dict[int, tuple[int, ...]]:
@@ -856,15 +867,14 @@ class SubobjectLattice:
         return self._colon_matrix
 
     def _colon_matrix_row(self, i: int) -> tuple[int, ...]:
-        inter = self.ring_lattice.inter
-        top = self.ring_lattice.top
-        row = self.colon_row(i)
+        rl = self.ring_lattice
+        row = [rl.masks[c] for c in self.colon_row(i)]
         out = []
-        for j in range(self.n):
-            acc = top
-            for g in self.min_gens(j):
-                acc = inter(acc, row[g])
-            out.append(acc)
+        for gens in map(self._min_gens.__getitem__, range(self.n)):
+            acc = rl.masks[rl.top]
+            for g in gens:
+                acc &= row[g]
+            out.append(rl.index_by_mask[acc])
         return tuple(out)
 
     def pair_colon(self, i: int, j: int) -> int:
@@ -876,8 +886,8 @@ class SubobjectLattice:
 
         The filter is given by the ring-lattice indices of its members.
         """
-        row = self.colon_row(i)
-        return self.index[frozenset(x for x in range(self.size) if row[x] in members)]
+        in_filter = map(members.__contains__, self.colon_row(i))
+        return self.index[frozenset(compress(range(self.size), in_filter))]
 
 
 class IdealLattice(SubobjectLattice):

@@ -7,6 +7,7 @@ instead of closure algorithms, raw subset scans instead of lattice logic.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product as iproduct
 
 from torsionlab.filters import gabriel_check
@@ -43,6 +44,17 @@ def all_ideals_by_subset_scan(ring: FiniteRing) -> set[frozenset]:
         subset = frozenset(e for e in elems if mask & (1 << e))
         if ring.zero in subset and is_ideal_scan(ring, subset):
             out.add(subset)
+    return out
+
+
+def primes_by_zero_divisor_scan(ring: FiniteRing) -> list[frozenset]:
+    """The proper ideals with no product of two outside elements inside, in
+    enumeration order."""
+    out = []
+    for ideal in enumerate_ideals(ring):
+        outside = [a for a in range(ring.size) if a not in ideal.elements]
+        if outside and all(ring.mul(a, b) not in ideal for a in outside for b in outside):
+            out.append(ideal.elements)
     return out
 
 
@@ -112,6 +124,12 @@ def gabriel_filters_by_upset_check(ring: FiniteRing) -> list[frozenset]:
     return out
 
 
+def basis_by_pairwise_scan(members) -> tuple:
+    """The members properly containing no other member, in Ideal.sort_key order."""
+    out = [a for a in members if not any(b.elements < a.elements for b in members)]
+    return tuple(sorted(out, key=Ideal.sort_key))
+
+
 def closure_by_scan(ring: FiniteRing, ideal: frozenset, member_sets: set) -> frozenset:
     """Every x whose colon (ideal : x) is a filter member, by raw table scans."""
     return frozenset(
@@ -135,34 +153,72 @@ def additive_closure_by_scan(ring: FiniteRing, seed: set) -> frozenset:
         out |= more
 
 
+@lru_cache(maxsize=4)
+def addition_table(module) -> list[list[int]]:
+    """add[x][y] = module.add_elem(x, y), one call per entry."""
+    elems = range(module.size)
+    return [[module.add_elem(x, y) for y in elems] for x in elems]
+
+
+@lru_cache(maxsize=4)
+def scalar_table(module) -> list[list[int]]:
+    """scal[a][y] = module.scalar(a, y), one call per entry."""
+    return [[module.scalar(a, y) for y in range(module.size)] for a in range(module.ring.size)]
+
+
 def module_sum_by_scan(module, n_i: frozenset, n_j: frozenset) -> frozenset:
     """N_i + N_j, the additive closure of N_i and N_j, by module.add_elem.
 
     Both are additive subgroups, so the closure is the set of sums a + b.
     """
-    return frozenset(module.add_elem(a, b) for a in n_i for b in n_j)
+    add = addition_table(module)
+    return frozenset(add[a][b] for a in n_i for b in n_j)
 
 
 def pair_colon_by_scan(module, n_i: frozenset, n_j: frozenset) -> frozenset:
     """{a : a*y in N_i for every y in N_j}, by module.scalar on every pair."""
     return frozenset(
-        a for a in range(module.ring.size)
-        if all(module.scalar(a, y) in n_i for y in n_j)
+        a for a, row in enumerate(scalar_table(module))
+        if n_i.issuperset(map(row.__getitem__, n_j))
     )
+
+
+def generator_count_by_nakayama(module, sub: frozenset, maximal_ideals: list) -> int:
+    """mu(N), the least number of generators of N, by Nakayama's lemma.
+
+    mu(N) is the largest, over the maximal ideals m, of log_{|A/m|} |N| / |mN|.
+    mN is the additive group generated by the products a*y, a in m and y in
+    N, grown one generator at a time by its multiples, on tables of
+    module.add_elem and module.scalar.
+    """
+    add, scal = addition_table(module), scalar_table(module)
+    mu = 0
+    for m in maximal_ideals:
+        m_n = {module.zero}
+        for g in {scal[a][y] for a in m for y in sub}:
+            multiples = [g]
+            while multiples[-1] != module.zero:
+                multiples.append(add[multiples[-1]][g])
+            m_n |= {add[c][x] for c in m_n for x in multiples}
+        q, ratio = module.ring.size // len(m), len(sub) // len(m_n)
+        k = 0
+        while q**k < ratio:
+            k += 1
+        assert q**k == ratio, "N/mN is not a vector space over A/m"
+        mu = max(mu, k)
+    return mu
 
 
 def greedy_generators_by_scan(module, target: frozenset) -> tuple:
     """Greedy generators of a submodule: each step adds the element x whose
     span cur + Ax is largest, the smallest such x on ties.  Spans are the
     sumsets {c + a*x}, formed by module.add_elem and module.scalar."""
+    add, scal = addition_table(module), scalar_table(module)
     gens: list[int] = []
     cur = frozenset({module.zero})
     while cur != target:
         grown = {
-            x: frozenset(
-                module.add_elem(c, module.scalar(a, x))
-                for c in cur for a in range(module.ring.size)
-            )
+            x: frozenset(add[c][row[x]] for c in cur for row in scal)
             for x in sorted(target - cur)
         }
         best = max(grown, key=lambda x: (len(grown[x]), -x))

@@ -15,6 +15,7 @@ from torsionlab.errors import (
     UnsupportedMap,
 )
 from torsionlab.filters import (
+    GabrielFilter,
     closure,
     enumerate_gabriel_filters,
     filter_from_mult_set,
@@ -51,7 +52,11 @@ from torsionlab.rings import (
     zmod,
 )
 
-from .helpers import gabriel_filters_by_subset_scan, gabriel_filters_by_upset_check
+from .helpers import (
+    basis_by_pairwise_scan,
+    gabriel_filters_by_subset_scan,
+    gabriel_filters_by_upset_check,
+)
 
 
 @pytest.fixture(scope="module")
@@ -222,10 +227,8 @@ def test_census_matches_upset_axiom_check():
     assert filters_seen == 130
 
 
-def test_least_member_rule_agrees_with_gabriel_check():
-    # every member set of every size <= 16 catalog ring with at most 12
-    # ideals: _checked_filter accepts it iff gabriel_check reports nothing
-    sets_seen = accepted = 0
+def _small_member_sets():
+    """Every member set of every size <= 16 catalog ring with at most 12 ideals."""
     for term in ring_catalog(16):
         ring = build_ring(term)
         ideals = enumerate_ideals(ring)
@@ -233,17 +236,35 @@ def test_least_member_rule_agrees_with_gabriel_check():
             continue
         for k in range(len(ideals) + 1):
             for members in combinations(ideals, k):
-                gabriel = gabriel_check(ring, members) == []
-                try:
-                    filters._checked_filter(ring, members, "probe")
-                except TheoremViolation:
-                    assert not gabriel, (ring.label, members)
-                else:
-                    assert gabriel, (ring.label, members)
-                    accepted += 1
-                sets_seen += 1
+                yield ring, members
+
+
+def test_least_member_rule_agrees_with_gabriel_check():
+    # _checked_filter accepts a member set iff gabriel_check reports nothing
+    sets_seen = accepted = 0
+    for ring, members in _small_member_sets():
+        gabriel = gabriel_check(ring, members) == []
+        try:
+            filters._checked_filter(ring, members, "probe")
+        except TheoremViolation:
+            assert not gabriel, (ring.label, members)
+        else:
+            assert gabriel, (ring.label, members)
+            accepted += 1
+        sets_seen += 1
     assert sets_seen == 6216
     assert accepted > 0
+
+
+def test_basis_matches_pairwise_scan():
+    # on every filter of the size <= 16 catalog, and on every small member
+    # set whether Gabriel or not
+    candidates = [(f.ring, f.members) for term in ring_catalog(16)
+                  for f in enumerate_gabriel_filters(build_ring(term))]
+    assert len(candidates) == 130
+    for ring, members in candidates + list(_small_member_sets()):
+        got = GabrielFilter(ring, frozenset(members)).basis
+        assert got == basis_by_pairwise_scan(members), (ring.label, members)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from torsionlab.errors import NotASubmodule, RingMismatch
+from torsionlab.errors import InvalidArgument, NotASubmodule, RingMismatch
 from torsionlab.filters import closure, enumerate_gabriel_filters, lambda_filter
 from torsionlab.modules import (
     element_annihilator,
@@ -31,9 +31,12 @@ from torsionlab.rings import (
 from .helpers import (
     additive_closure_by_scan,
     closure_by_scan,
+    generator_count_by_nakayama,
+    greedy_generators_by_scan,
     maximal_by_scan,
     module_sum_by_scan,
     pair_colon_by_scan,
+    scalar_table,
 )
 
 
@@ -93,6 +96,18 @@ def test_span(z12):
     assert span(m, [4, 6]) == frozenset({0, 2, 4, 6, 8, 10})
 
 
+@pytest.mark.parametrize("x", [-1, 4])
+def test_element_arguments_are_range_checked(x):
+    # a negative index must not wrap around to the last element, and a
+    # rejected one must leave no orbit row behind
+    m = free_module(zmod(4), 1)
+    with pytest.raises(InvalidArgument, match=rf"^{x} is not an element of Z/4$"):
+        span(m, [x])
+    with pytest.raises(InvalidArgument, match=rf"^{x} is not an element of Z/4$"):
+        element_annihilator(m, x)
+    assert x not in m.orbit_rows
+
+
 def test_lattice_rank_one_matches_ideals():
     # The rank-1 coset index is the element index, so the ideal lattice (ring
     # tables) and the submodule lattice of A (coset arithmetic) must agree
@@ -140,7 +155,7 @@ def test_colon_matrix_matches_scan():
     # a*y over all a and all y in N_j; then upper closures (each single
     # submodule, all of them, every other one) against a scan of every
     # submodule H for some (N : H) in the filter.
-    for term in ring_catalog(8):
+    for term in ring_catalog(10):
         ring = build_ring(term)
         rl = ideal_lattice(ring)
         filters = enumerate_gabriel_filters(ring)
@@ -169,8 +184,8 @@ def test_colon_matrix_matches_scan():
 def test_rank_two_sums_and_maxima_match_scans():
     # Every entry of the sum matrix of A^2 against the sums a + b by
     # add_elem, and the mask-based maximal against a subset scan, on the
-    # families of test_lattice_rank_one_matches_ideals.
-    for term in ring_catalog(8):
+    # families of test_lattice_rank_one_matches_ideals (which checks A).
+    for term in ring_catalog(10):
         ring = build_ring(term)
         module = free_module(ring, 2)
         lat = submodule_lattice(module)
@@ -185,6 +200,54 @@ def test_rank_two_sums_and_maxima_match_scans():
         for fam in families:
             by_scan = maximal_by_scan([lat.sets[i] for i in fam])
             assert [lat.sets[i] for i in lat.maximal(fam)] == by_scan
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_mask_engine_matches_element_scans(rank):
+    # The engine's mask arithmetic against element sets: each colon row
+    # entry (N_i : x) against a scan of a*x, each meet against the set
+    # intersection, each order bit against set inclusion, each closure
+    # against the x whose scanned colon is a filter member, and the greedy
+    # generators against spans built by add_elem and scalar.
+    for term in ring_catalog(10):
+        ring = build_ring(term)
+        module = free_module(ring, rank)
+        lat = submodule_lattice(module)
+        rl, sets, up = lat.ring_lattice, lat.sets, lat.up_masks()
+        elems = range(module.size)
+        colons = [
+            [frozenset(a for a, row in enumerate(scalar_table(module)) if row[x] in s)
+             for x in elems]
+            for s in sets
+        ]
+        for i, si in enumerate(sets):
+            assert [rl.sets[c] for c in lat.colon_row(i)] == colons[i]
+            assert lat.min_gens(i) == greedy_generators_by_scan(module, si)
+            assert lat.upset(i) == tuple(j for j, sj in enumerate(sets) if si <= sj)
+            for j, sj in enumerate(sets):
+                assert sets[lat.inter(i, j)] == si & sj
+                assert lat.leq(i, j) == bool(up[i] >> j & 1) == (si <= sj)
+        for sigma in enumerate_gabriel_filters(ring):
+            members = sigma.member_indices()
+            member_sets = {a.elements for a in sigma.members}
+            for i in range(lat.n):
+                by_scan = frozenset(x for x in elems if colons[i][x] in member_sets)
+                assert sets[lat.closure(i, members)] == by_scan
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_min_gens_count_is_nakayama_rank(rank):
+    # the greedy generator count is the least one, mu(N), for every
+    # submodule N of A and A^2 over the size <= 16 catalog
+    for term in ring_catalog(16):
+        ring = build_ring(term)
+        ideals = [i.elements for i in enumerate_ideals(ring)]
+        maximal_ideals = maximal_by_scan([s for s in ideals if len(s) < ring.size])
+        module = free_module(ring, rank)
+        lat = submodule_lattice(module)
+        for i, sub in enumerate(lat.sets):
+            mu = generator_count_by_nakayama(module, sub, maximal_ideals)
+            assert len(lat.min_gens(i)) == mu, (ring.label, rank, sorted(sub))
 
 
 def test_rows_match_element_arithmetic():

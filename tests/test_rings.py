@@ -48,6 +48,7 @@ from .helpers import (
     all_ideals_by_subset_scan,
     colon_by_scan,
     ideal_by_linear_combinations,
+    primes_by_zero_divisor_scan,
     quotient_by_entries,
     ring_by_entries,
 )
@@ -259,6 +260,16 @@ def test_primes_have_no_zero_divisors(z12):
         assert all(z12.mul(a, b) not in p.elements for a in outside for b in outside)
 
 
+def test_spectrum_matches_zero_divisor_scan():
+    # the primes are read off as the maximal proper ideals; the scan tests
+    # every proper ideal for zero divisors outside it, on each catalog ring
+    # and on each of its local factors
+    for term in ring_catalog(16):
+        ring = build_ring(term)
+        for r in [ring] + [factor for factor, _ in local_decomposition(ring)]:
+            assert [p.elements for p in prime_spectrum(r)] == primes_by_zero_divisor_scan(r)
+
+
 # -- quotients, maps, local decomposition ------------------------------------
 
 
@@ -345,6 +356,13 @@ def test_colons_match_scan_on_catalog(term):
             assert colon_element(i, b).elements == colon_by_scan(r, i.elements, frozenset({b}))
         for j in ideals:
             assert colon(i, j).elements == colon_by_scan(r, i.elements, j.elements)
+
+
+@pytest.mark.parametrize("b", [-1, 6])
+def test_colon_element_rejects_non_elements(b):
+    # neither wraps around to (0 : 5) nor escapes as a bare IndexError
+    with pytest.raises(InvalidArgument, match=rf"^{b} is not an element of Z/6$"):
+        colon_element(zero_ideal(zmod(6)), b)
 
 
 def test_principal_ideal_cached(z12):
