@@ -64,7 +64,7 @@ from .monomial import (
     s_finite_decide,
     saturation,
 )
-from .noether import theorem_suite, tfg_certificate, verify_certificate
+from .noether import shared_suite_tables, theorem_suite, tfg_certificate, verify_certificate
 from .rings import (
     DEFAULT_SIZE_CAP,
     FiniteRing,
@@ -382,21 +382,24 @@ def _run_suite(doc: dict, cap: int, budget: DecisionBudget) -> tuple[dict, list]
     if "sweep_max_size" in params:
         # a ring at a time, so a sweep holds the lattices of one ring only
         rings = (build_ring(term, cap) for term in ring_catalog(params["sweep_max_size"]))
-        pairs = ((ring, sigma) for ring in rings for sigma in enumerate_gabriel_filters(ring))
+        groups = ((ring, enumerate_gabriel_filters(ring)) for ring in rings)
     else:
         ring = build_ring(doc["ring"], cap)
-        pairs = [(ring, build_filter(ring, doc["filter"]))]
+        groups = [(ring, [build_filter(ring, doc["filter"])])]
     reports = []
     counterexamples = []
-    for ring, sigma in pairs:
-        report = theorem_suite(ring, sigma)
-        reports.append(report.to_dict())
-        for result in report.results:
-            if not result.passed:
-                counterexamples.append(
-                    f"{ring.label} / {sigma.label} / {result.name}: "
-                    f"{result.counterexample}"
-                )
+    for ring, filters in groups:
+        # the suites of one ring share its filter-independent tables
+        with shared_suite_tables(ring):
+            for sigma in filters:
+                report = theorem_suite(ring, sigma)
+                reports.append(report.to_dict())
+                for result in report.results:
+                    if not result.passed:
+                        counterexamples.append(
+                            f"{ring.label} / {sigma.label} / {result.name}: "
+                            f"{result.counterexample}"
+                        )
     results = {
         "kind": "suite",
         "all_passed": not counterexamples,

@@ -12,12 +12,31 @@ definitions; a mismatch means an implementation bug and is reported.
 Each public predicate is a thin wrapper over an index-level core on
 (lattice, index, filter member indices); the theorem suite calls the same
 cores, so it checks what the public functions return.
+
+The suite runs once per (ring, filter), but much of its work does not
+depend on the filter: the colons grouped by value along each colon-matrix
+row, the maximal members of each upper-closure mask, the colons occurring
+in each colon row, the image colons of every inclusion pair under each
+quotient map, and the element-level re-verification of each certificate.
+``_LatticeTables`` holds these for one lattice, each entry built on its
+first read, and the filter-dependent part of every check is a membership
+test against them.  A lone ``theorem_suite`` call builds its own tables
+and drops them.  A sweep shares one set per lattice across all the filters
+of a ring by running the ring's suites inside
+``shared_suite_tables(ring)``, which attaches the tables to the ring for
+the block and removes them on exit.  Nothing is stored on the lattice
+itself, for two reasons: a lattice-lifetime memo would hide a colon or sum
+entry planted between two runs on one lattice, and the entry point stays
+``theorem_suite(ring, sigma)``, one call per pair, so code that wraps it
+sees every call.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from .errors import (
     NotAscending,
@@ -47,6 +66,7 @@ from .rings import (
     Ideal,
     _bits,
     _mask,
+    _Rows,
     ideal_lattice,
     identity_map,
     local_decomposition,
@@ -70,6 +90,82 @@ class ChainStability:
 
     stable_index: int
     h: Ideal
+
+
+class _LatticeTables:
+    """The filter-independent tables of one lattice, each entry built on its
+    first read; see the module docstring for who shares them."""
+
+    def __init__(self, lat):
+        self.lat = lat
+        # colon_groups[n]: (c, mask) for each colon c of colon-matrix row n,
+        # the mask holding the columns H with (N_n : H) = c
+        self.colon_groups = _Rows(self._colon_groups)
+        # family_bits[mask], family_maxima[mask]: the indices of a family
+        # given as a mask, and its maximal members
+        self.family_bits = _Rows(_bits)
+        self.family_maxima = _Rows(lambda fam: lat.maximal(self.family_bits[fam]))
+        # occurring[n]: the colons (N_n : x) over the carrier, as a mask
+        self.occurring = _Rows(lambda n: _mask(set(lat.colon_row(n))))
+        # quotient_images[(H, S)]: the colons ((H + N) : (S + N)) over every N
+        self.quotient_images = _Rows(self._quotient_images)
+        # transfer_images[T][h]: the colons h_bar of the image pairs
+        # (N + T, M + T) over the pairs N <= M with colon (N : M) = h
+        self.transfer_images = _Rows(self._transfer_images)
+        # verified[(H, h, S)]: the re-verification of the certificate (H, h)
+        # of N_S, for an h in the filter
+        self.verified: dict[tuple[int, int, int], tuple[bool, str | None]] = {}
+
+    def _colon_groups(self, n_idx: int) -> tuple[tuple[int, int], ...]:
+        groups: dict[int, int] = {}
+        for h, c in enumerate(self.lat.colon_matrix()[n_idx]):
+            groups[c] = groups.get(c, 0) | 1 << h
+        return tuple(groups.items())
+
+    def _quotient_images(self, pair: tuple[int, int]) -> int:
+        cm, sm = self.lat.colon_matrix(), self.lat.sum_matrix()
+        h_idx, s_idx = pair
+        return _mask({cm[image_h][image_s] for image_h, image_s in zip(sm[h_idx], sm[s_idx])})
+
+    @cached_property
+    def pair_colons(self) -> list[tuple[tuple[int, ...], list[int]]]:
+        """For each N: the M >= N and the colons (N : M), in the same order."""
+        lat, cm = self.lat, self.lat.colon_matrix()
+        return [(lat.upset(n), [cm[n][m] for m in lat.upset(n)]) for n in range(lat.n)]
+
+    def _transfer_images(self, t_idx: int) -> list[int]:
+        cm = self.lat.colon_matrix()
+        plus_t = self.lat.sum_matrix()[t_idx]
+        images = [0] * self.lat.ring_lattice.n
+        for n_idx, (ups, colons) in enumerate(self.pair_colons):
+            row_bar = cm[plus_t[n_idx]]
+            for m_idx, h in zip(ups, colons):
+                images[h] |= 1 << row_bar[plus_t[m_idx]]
+        return images
+
+
+_SHARED_TABLES = "suite_tables"  # key in FiniteRing._cache inside shared_suite_tables
+
+
+@contextmanager
+def shared_suite_tables(ring: FiniteRing) -> Iterator[None]:
+    """Inside the block, every theorem_suite call on ring shares one set of
+    filter-independent tables per lattice; the tables go on exit."""
+    ring._cache[_SHARED_TABLES] = {}
+    try:
+        yield
+    finally:
+        del ring._cache[_SHARED_TABLES]
+
+
+def _lattice_tables(lat) -> _LatticeTables:
+    """The shared tables of the lattice inside shared_suite_tables, else fresh ones."""
+    shared = lat.ring._cache.get(_SHARED_TABLES)
+    if shared is None:
+        return _LatticeTables(lat)
+    if lat not in shared:
+        shared[lat] = _LatticeTables(lat)
+    return shared[lat]
 
 
 def tfg_certificate(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) -> Certificate:
@@ -168,7 +264,7 @@ def closure_colon_witness(
         raise NotASubmodule("witness search input is not a submodule")
     members = sigma.member_indices()
     n_idx = lat.index[sub]
-    h_idx = _colon_witness(lat, n_idx, members)
+    h_idx, = _colon_witnesses(lat, (n_idx,), members)
     if h_idx is None:
         raise TheoremViolation(
             f"no colon witness on {module.label}: submodule={sorted(sub)}, "
@@ -178,22 +274,28 @@ def closure_colon_witness(
     return lat.ring_lattice.ideals[h_idx]
 
 
-def _colon_witness(lat, n_idx: int, members: frozenset) -> int | None:
-    """The coarsest member h with (N : h) equal to the closure of N, or None.
+def _colon_witnesses(
+    lat, n_idxs: Sequence[int], members: frozenset, tables: _LatticeTables | None = None
+) -> list[int | None]:
+    """For each index N of n_idxs, the coarsest member h with (N : h) equal
+    to the closure of N, or None.
 
     (N : h) = {m : h <= (N : m)} and the closure is {m : (N : m) in the
     filter}, so h qualifies iff, on the colons (N : m) that occur, being
     above h is being in the filter.
     """
+    occurring = (tables or _LatticeTables(lat)).occurring
     rl = lat.ring_lattice
     up = rl.up_masks()
-    occurring = _mask(set(lat.colon_row(n_idx)))
-    occurring_members = occurring & _mask(members)
+    member_mask = _mask(members)
     # ring-lattice indices follow Ideal.sort_key, so ties go to the smaller index
-    for h_idx in sorted(members, key=lambda i: (-len(rl.sets[i]), i)):
-        if up[h_idx] & occurring == occurring_members:
-            return h_idx
-    return None
+    order = sorted(members, key=lambda i: (-len(rl.sets[i]), i))
+    out = []
+    for n_idx in n_idxs:
+        occ = occurring[n_idx]
+        occ_members = occ & member_mask
+        out.append(next((h_idx for h_idx in order if up[h_idx] & occ == occ_members), None))
+    return out
 
 
 def sigma_maximal(
@@ -246,15 +348,17 @@ def upper_closure(
     )
 
 
-def _upper_closure(lat, family: Sequence[int], members: frozenset) -> int:
+def _upper_closure(
+    lat, family: Sequence[int], members: frozenset, tables: _LatticeTables | None = None
+) -> int:
     """Bitmask of the indices H with (N : H) in the filter for some index N
-    of the family."""
-    cm = lat.colon_matrix()
+    of the family: the OR of the colon groups of N whose colon is a member."""
+    groups = (tables or _LatticeTables(lat)).colon_groups
     found = 0
     for n in family:
-        for h, c in enumerate(cm[n]):
+        for c, mask in groups[n]:
             if c in members:
-                found |= 1 << h
+                found |= mask
     return found
 
 
@@ -321,23 +425,23 @@ def quotient_transfer_check(
     return _quotient_transfer(lat, (t_idx,), members)[0]
 
 
-def _quotient_transfer(lat, t_idxs: Sequence[int], members: frozenset) -> list[bool]:
+def _quotient_transfer(
+    lat, t_idxs: Sequence[int], members: frozenset, tables: _LatticeTables | None = None
+) -> list[bool]:
     """The transfer check for each T = N_t of t_idxs, whose annihilators lie
     in the filter.
 
     A pair N <= M passes on its colon h = (N : M), the colon h_bar of its
-    image pair (N + T, M + T) and ann(T) alone, so the passing (h, h_bar)
-    are tabulated once per annihilator.  The up-sets, their colons and the
-    member flags do not depend on T and are built once; N + T is read from
-    row T of the sum matrix.
+    image pair (N + T, M + T) and ann(T) alone.  Which (h, h_bar) occur
+    does not depend on the filter and is read from the tables, one mask of
+    h_bar per h; which pass is tabulated once per annihilator.  T passes
+    iff every occurring pair passes.
     """
+    images = (tables or _LatticeTables(lat)).transfer_images
     rl = lat.ring_lattice
     cm = lat.colon_matrix()
-    sm = lat.sum_matrix()
     up = rl.up_masks()
     in_filter = [a in members for a in range(rl.n)]
-    ups = [lat.upset(n_idx) for n_idx in range(lat.n)]
-    colons = [[cm[n_idx][m_idx] for m_idx in ups[n_idx]] for n_idx in range(lat.n)]
     passing_by_ann: dict[int, list[int]] = {}
 
     def passing(ann: int) -> list[int]:
@@ -362,13 +466,7 @@ def _quotient_transfer(lat, t_idxs: Sequence[int], members: frozenset) -> list[b
         if ann not in passing_by_ann:
             passing_by_ann[ann] = passing(ann)
         ok = passing_by_ann[ann]
-        plus_t = sm[t_idx]
-        for n_idx in range(lat.n):
-            row_bar = cm[plus_t[n_idx]]
-            for m_idx, h in zip(ups[n_idx], colons[n_idx]):
-                if not ok[h] >> row_bar[plus_t[m_idx]] & 1:
-                    return False
-        return True
+        return not any(bars & ~passes for bars, passes in zip(images[t_idx], ok))
 
     return [transfers(t_idx) for t_idx in t_idxs]
 
@@ -519,6 +617,27 @@ def _quotient_certified(lat, members: frozenset) -> dict:
     return flags
 
 
+def _reverify(
+    module: FiniteModule, lat, sigma: GabrielFilter, key: tuple[int, int, int]
+) -> tuple[bool, str | None]:
+    """(ok, reason) for the certificate (H, h) of N_S, key = (H, h, S),
+    rechecked on elements: by verify_certificate on A, by generators on A^2."""
+    h_idx, colon_idx, s_idx = key
+    sub = lat.submodules[s_idx]
+    cert = Certificate("totally_fg", lat.min_gens(h_idx), lat.ring_lattice.ideals[colon_idx])
+    if module.rank == 1:
+        return verify_certificate(module, sub, sigma, cert)
+    # generator-level containment; exact since H is a submodule
+    h_span = span(module, cert.subobject_generators)
+    h_gens = minimal_generators(cert.filter_ideal)
+    ok = (
+        cert.filter_ideal in sigma.members
+        and h_span <= sub
+        and all(module.scalar(g, n) in h_span for n in sub for g in h_gens)
+    )
+    return ok, None if ok else "generator containment failed"
+
+
 def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
     """Run every exhaustively checkable statement over the carriers A and A^2.
 
@@ -539,6 +658,7 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
 
     for module, lat in zip(carriers, lattices):
         where = module.label
+        tables = _lattice_tables(lat)
         cm = lat.colon_matrix()
         up = lat.up_masks()
         certified = _certified_flags(lat, members)
@@ -550,28 +670,23 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         # upper[n]: the upper closure of {N_n} as a bitmask, i.e. every H
         # with (N_n : H) in the filter; upper_members[n] lists its bits, and
         # its maximal elements serve two theorems below
-        upper = [_upper_closure(lat, (n,), members) for n in range(lat.n)]
-        upper_members = [_bits(fam) for fam in upper]
-        maxima = [lat.maximal(fam) for fam in upper_members]
+        upper = [_upper_closure(lat, (n,), members, tables) for n in range(lat.n)]
+        upper_members = [tables.family_bits[fam] for fam in upper]
+        maxima = [tables.family_maxima[fam] for fam in upper]
 
-        # certificates exist canonically and re-verify
+        # certificates exist canonically and re-verify; h in the filter is
+        # the one filter-dependent condition, so it is tested first, and a
+        # certificate that passes it is re-verified once per set of tables
         t = tallies["certificates-verify"]
         certificates = [_tfg_certificate(lat, s_idx, members) for s_idx in range(lat.n)]
         for s_idx, (h_idx, colon_idx) in enumerate(certificates):
-            sub = lat.submodules[s_idx]
-            cert = Certificate("totally_fg", lat.min_gens(h_idx), rl.ideals[colon_idx])
-            if module.rank == 1:
-                ok, reason = verify_certificate(module, sub, sigma, cert)
-            else:
-                # generator-level containment; exact since H is a submodule
-                h_span = span(module, cert.subobject_generators)
-                h_gens = minimal_generators(cert.filter_ideal)
-                ok = (
-                    cert.filter_ideal in sigma.members
-                    and h_span <= sub
-                    and all(module.scalar(g, n) in h_span for n in sub for g in h_gens)
-                )
-                reason = None if ok else "generator containment failed"
+            key = (h_idx, colon_idx, s_idx)
+            if colon_idx in members:
+                if key not in tables.verified:
+                    tables.verified[key] = _reverify(module, lat, sigma, key)
+                ok, reason = tables.verified[key]
+            else:  # this verdict depends on the filter, so it is not kept
+                ok, reason = _reverify(module, lat, sigma, key)
             t.check(ok, "{}: S={}: {}", where, s_idx, reason)
 
         # images of certified submodules under quotient maps stay certified:
@@ -579,10 +694,11 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         # every N, the images are rows H and S of the sum matrix
         t = tallies["totally-fg-quotient-images"]
         sm = lat.sum_matrix()
+        member_mask = _mask(members)
         first_bad = None  # the least failing (N, S)
         for s_idx, (h_idx, _) in enumerate(certificates):
-            images = [cm[image_h][image_s] for image_h, image_s in zip(sm[h_idx], sm[s_idx])]
-            if not members.issuperset(images):
+            if tables.quotient_images[h_idx, s_idx] & ~member_mask:
+                images = [cm[image_h][image_s] for image_h, image_s in zip(sm[h_idx], sm[s_idx])]
                 n_idx = next(n for n, c in enumerate(images) if c not in members)
                 if first_bad is None or n_idx < first_bad[0]:
                     first_bad = (n_idx, s_idx)
@@ -602,9 +718,9 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
 
         # closure-colon witness exists for every submodule
         t = tallies["closure-colon-witness"]
-        for s_idx in range(lat.n):
-            found = _colon_witness(lat, s_idx, members) is not None
-            t.check(found, "{}: S={}", where, s_idx)
+        witnesses = _colon_witnesses(lat, range(lat.n), members, tables)
+        for s_idx, h_idx in enumerate(witnesses):
+            t.check(h_idx is not None, "{}: S={}", where, s_idx)
 
         # side (a): every chain is totally stable (pairs plus maximal chains)
         t = tallies["chain-stability"]
@@ -661,7 +777,7 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         # quotients by totally torsion submodules preserve stability data
         t = tallies["totally-torsion-quotient-transfer"]
         torsion = [t_idx for t_idx in range(lat.n) if cm[lat.zero][t_idx] in members]
-        for t_idx, ok in zip(torsion, _quotient_transfer(lat, torsion, members)):
+        for t_idx, ok in zip(torsion, _quotient_transfer(lat, torsion, members, tables)):
             t.check(ok, "{}: T={}", where, t_idx)
 
         # local property: certified iff certified at every maximal K-prime

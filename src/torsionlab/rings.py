@@ -794,8 +794,14 @@ class SubobjectLattice:
                 if size > best_size:
                     best_size = size
                     best_x = x
+            grown = self._join(cur, self.index_by_mask[cyclic_masks[best_x]])
+            if grown == cur:  # only wrong up-set or cyclic masks get here
+                raise TheoremViolation(
+                    f"greedy generators of {self.kind} stall: sub-object {cur} "
+                    f"does not grow toward {i}"
+                )
             gens.append(best_x)
-            cur = self._join(cur, self.index_by_mask[cyclic_masks[best_x]])
+            cur = grown
         return tuple(gens)
 
     def sum(self, i: int, j: int) -> int:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import signal
+
 import pytest
 
-from torsionlab.errors import InvalidArgument, NotASubmodule, RingMismatch
+from torsionlab.errors import InvalidArgument, NotASubmodule, RingMismatch, TheoremViolation
 from torsionlab.filters import closure, enumerate_gabriel_filters, lambda_filter
 from torsionlab.modules import (
+    SubmoduleLattice,
     element_annihilator,
     free_module,
     is_submodule,
@@ -233,6 +236,29 @@ def test_mask_engine_matches_element_scans(rank):
             for i in range(lat.n):
                 by_scan = frozenset(x for x in elems if colons[i][x] in member_sets)
                 assert sets[lat.closure(i, members)] == by_scan
+
+
+def test_greedy_gens_raise_when_the_join_stalls():
+    # planted: the cyclic mask of every x is taken from the last sub-object
+    # holding x (the whole carrier) instead of the first, so the first greedy
+    # step overshoots N_1 and the next join cannot grow; the guard must raise
+    # instead of looping, and the alarm turns a hang into a failure
+    lat = SubmoduleLattice(free_module(zmod(6), 1))
+    lat.cyclic_masks = [
+        next(m for m in reversed(lat.masks) if m >> x & 1) for x in range(lat.size)
+    ]
+
+    def hang(signum, frame):
+        raise TimeoutError("greedy generators did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(TheoremViolation, match="stall"):
+            lat.min_gens(1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("rank", [1, 2])

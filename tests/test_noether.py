@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from torsionlab import noether
@@ -490,3 +492,65 @@ def test_many_t_transfer_matches_single_t_check(monkeypatch):
     single = [quotient_transfer_check(module, lat.sets[t], sigma) for t in torsion]
     assert single == [True, False]
     assert noether._quotient_transfer(lat, torsion, sigma.member_indices()) == single
+
+
+# -- tables shared across the filters of a ring -------------------------------------------
+
+
+def _lone_and_shared_reports(monkeypatch, ring, lat) -> tuple[list, list]:
+    """Every filter's report from lone theorem_suite calls and from one pass
+    inside shared_suite_tables, with a private rank-1 lattice of the ring."""
+    monkeypatch.setattr(
+        noether, "submodule_lattice",
+        lambda m: lat if m.ring is ring and m.rank == 1 else submodule_lattice(m),
+    )
+    filters = enumerate_gabriel_filters(ring)
+    lone = [theorem_suite(ring, sigma).to_dict() for sigma in filters]
+    with noether.shared_suite_tables(ring):
+        shared = [theorem_suite(ring, sigma).to_dict() for sigma in filters]
+    return lone, shared
+
+
+@pytest.mark.parametrize("plant", ["colon", "sum"])
+def test_shared_tables_match_lone_calls_on_planted_lattices(monkeypatch, plant):
+    # the planted defects of the certificate and quotient tests above, on
+    # A = Z/6: with tables shared across the four filters, each filter's
+    # report, failures included, equals its lone-call report
+    ring = zmod(6)
+    lat = SubmoduleLattice(free_module(ring, 1))
+    if plant == "colon":
+        _plant(lat, lat.zero, lat.top, lat.ring_lattice.top)
+    else:
+        _plant_sum(lat)
+    lone, shared = _lone_and_shared_reports(monkeypatch, ring, lat)
+    assert shared == lone
+    failing = [i for i, report in enumerate(lone) if not report["all_passed"]]
+    assert failing and failing[-1] > 0  # a filter after the first sees the defect
+
+
+def test_lone_suite_call_leaves_no_tables():
+    ring = zmod(12)
+    sigma = filter_from_mult_set(ring, [1, 3, 9])
+    theorem_suite(ring, sigma)
+    assert noether._SHARED_TABLES not in ring._cache
+    with noether.shared_suite_tables(ring):
+        theorem_suite(ring, sigma)
+        assert len(ring._cache[noether._SHARED_TABLES]) == 2  # the lattices of A and A^2
+    assert noether._SHARED_TABLES not in ring._cache
+    gc.collect()
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, noether._LatticeTables)]
+
+
+def test_sweep_reports_equal_lone_calls():
+    from torsionlab import cli
+
+    report, code = cli.execute({"task": "suite", "params": {"sweep_max_size": 8}})
+    assert code == 0
+    lone = []
+    for term in ring_catalog(8):
+        ring = build_ring(term)
+        filters = enumerate_gabriel_filters(ring)
+        lone.extend(theorem_suite(ring, sigma).to_dict() for sigma in filters)
+    assert report["results"]["reports"] == lone
+    gc.collect()
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, noether._LatticeTables)]
