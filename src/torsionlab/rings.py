@@ -740,6 +740,8 @@ class SubobjectLattice:
             self._incl_pairs = [(i, j) for i in range(self.n) for j in self.upset(i)]
         return self._incl_pairs
 
+    # unused by the theorem suite; perfbench/spans.py stages covers and wraps
+    # SubmoduleLattice.maximal_chains, so both stay
     def covers(self) -> dict[int, tuple[int, ...]]:
         """Hasse diagram: for each i, the sub-objects covering it."""
         if self._covers is None:

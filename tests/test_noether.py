@@ -30,6 +30,8 @@ from torsionlab.noether import (
     verify_certificate,
 )
 from torsionlab.rings import (
+    Ideal,
+    RingMap,
     build_ring,
     enumerate_ideals,
     ideal_from_generators,
@@ -313,12 +315,20 @@ def test_suite_report_dict_shape(z12):
     d = theorem_suite(z12, sigma).to_dict()
     assert d["ring"] == "Z/12"
     assert d["all_passed"] is True
-    assert {t["name"] for t in d["theorems"]} >= {
+    assert [t["name"] for t in d["theorems"]] == [
         "certificates-verify",
-        "cohen-prime-criterion",
+        "totally-fg-quotient-images",
+        "finite-type",
+        "closure-colon-witness",
+        "upper-closed-families-have-maximal",
+        "unique-maximal",
+        "totally-torsion-quotient-transfer",
         "kaplansky-prime-criterion",
-        "maximal-conditions-triangle",
-    }
+        "kaplansky-noetherian-corollary",
+        "meet-decomposition",
+        "almost-jansian",
+        "induced-filters",
+    ]
 
 
 def test_is_upper_closed_fixpoint(z12, sigma39):
@@ -440,6 +450,68 @@ def test_kaplansky_checks_catch_planted_colon(monkeypatch):
     passed = _planted_suite(monkeypatch, ring, sigma, lat)
     assert not passed["kaplansky-prime-criterion"]
     assert not passed["kaplansky-noetherian-corollary"]
+
+
+@pytest.mark.parametrize(
+    "row, col, name",
+    [(0, 1, "upper-closed-families-have-maximal"), (1, 2, "unique-maximal")],
+)
+def test_maximality_checks_catch_planted_colon(monkeypatch, row, col, name):
+    # A = Z/6, whose submodules 0, (3), (2), A have indices 0 to 3, under the
+    # trivial filter; planting (N_row : N_col) = A puts N_col into the upper
+    # closure of N_row.  (0 : (3)) = A leaves the upper closure {0, (2)} of
+    # (2) not closed, as the one of its member 0 now holds (3); ((3) : (2)) = A
+    # gives the upper closure {0, (3), (2)} of (3) two maximal elements,
+    # though it holds the closure (3)
+    ring = zmod(6)
+    sigma = trivial_filter(ring)
+    lat = SubmoduleLattice(free_module(ring, 1))
+    assert all(_planted_suite(monkeypatch, ring, sigma, lat).values())
+    _plant(lat, row, col, lat.ring_lattice.top)
+    assert not _planted_suite(monkeypatch, ring, sigma, lat)[name]
+
+
+def test_planted_suite_failure_exits_1(monkeypatch):
+    # the unique-maximal plant above, run as a suite spec: the failure is a
+    # counterexample and exit code 1
+    from torsionlab import cli
+
+    ring = zmod(6)
+    lat = SubmoduleLattice(free_module(ring, 1))
+    _plant(lat, 1, 2, lat.ring_lattice.top)
+    monkeypatch.setattr(cli, "build_ring", lambda term, cap: ring)
+    real = noether.submodule_lattice
+    monkeypatch.setattr(
+        noether, "submodule_lattice",
+        lambda m: lat if m.ring is ring and m.rank == 1 else real(m),
+    )
+    report, code = cli.execute({"task": "suite", "ring": {"zmod": 6}, "filter": "trivial"})
+    assert code == 1
+    assert report["counterexamples"] == ["Z/6 / filter<(1)> / unique-maximal: Z/6: N=1"]
+
+
+def test_induced_filters_catch_planted_preimage(monkeypatch):
+    # on Z/6 under the filter of ideals outside (3), a preimage that is
+    # always the whole ring makes every ideal of the target a member, while
+    # the images of the filter's members are (1) and (2) under the identity
+    # map: induced_filter raises, and the suite reports it with exit 1
+    from torsionlab import cli
+
+    monkeypatch.setattr(
+        RingMap, "preimage_ideal",
+        lambda self, j: Ideal(self.source, frozenset(range(self.source.size))),
+    )
+    doc = {"task": "suite", "ring": {"zmod": 6},
+           "filter": {"prime_complement": {"ideal_gens": [3]}}}
+    report, code = cli.execute(doc)
+    assert code == 1
+    theorems = report["results"]["reports"][0]["theorems"]
+    failed = [t for t in theorems if not t["passed"]]
+    assert [t["name"] for t in failed] == ["induced-filters"]
+    assert failed[0]["instances_checked"] == 3  # the identity and two local factors
+    assert failed[0]["counterexample"] == (
+        "extended-ideal description failed along identity map to Z/6"
+    )
 
 
 def _plant_sum(lat) -> None:
