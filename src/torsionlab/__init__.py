@@ -12,8 +12,8 @@ Layers:
   each module builds from its coset arithmetic on first read.
 * :mod:`torsionlab.filters`  -- Gabriel filters, torsion radicals, closures,
   spectrum partitions, jansian structure, induced filters.
-* :mod:`torsionlab.noether`  -- finiteness certificates, chain stability,
-  maximality machinery, and the exhaustive theorem suites.
+* :mod:`torsionlab.noether`  -- finiteness certificates, maximality
+  machinery, quotient transfer, and the exhaustive theorem suites.
 * :mod:`torsionlab.monomial` -- monomial ideals over countably many
   variables: exact membership, saturation and finiteness decisions for
   principal multiplicative sets.
@@ -24,7 +24,6 @@ from .errors import (
     InvalidArgument,
     InvalidModulus,
     NonMonicPolynomial,
-    NotAscending,
     NotASubmodule,
     NotMultiplicativelyClosed,
     NotPrime,
@@ -62,7 +61,6 @@ from .filters import (
     spec_partition,
     torsion_class_report,
     torsion_submodule,
-    torsion_submodule_via_class,
     trivial_filter,
 )
 from .modules import (
@@ -100,15 +98,12 @@ from .monomial import (
 )
 from .noether import (
     Certificate,
-    ChainStability,
     SigmaPrincipalStatus,
     SuiteReport,
     TheoremResult,
-    chain_stability,
     closure_colon_witness,
     is_upper_closed,
     quotient_transfer_check,
-    sigma_maximal,
     sigma_principal_status,
     tfg_certificate,
     theorem_suite,

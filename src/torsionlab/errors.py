@@ -38,10 +38,6 @@ class NotASubmodule(WorkbenchError):
     """Element set is not closed under addition and the ring action."""
 
 
-class NotAscending(WorkbenchError):
-    """Chain input is not ascending under inclusion."""
-
-
 class UnsupportedMap(WorkbenchError):
     """Ring map is not a surjective homomorphism of the supported kind."""
 

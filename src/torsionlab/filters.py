@@ -282,23 +282,6 @@ def torsion_submodule(module: FiniteModule, sigma: GabrielFilter) -> frozenset:
     )
 
 
-def torsion_submodule_via_class(module: FiniteModule, sigma: GabrielFilter) -> frozenset:
-    """Same set computed another way: the sum of all torsion submodules.
-
-    A submodule N is torsion iff ann N = (0 : N) is in the filter, so the
-    torsion submodules are read off row ``zero`` of the colon matrix.
-    """
-    _require_same_ring(module, sigma)
-    lat = submodule_lattice(module)
-    members = sigma.member_indices()
-    ann = lat.colon_matrix()[lat.zero]
-    acc = lat.zero
-    for i in range(lat.n):
-        if ann[i] in members:
-            acc = lat.sum(acc, i)
-    return lat.submodules[acc]
-
-
 def closure(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) -> frozenset:
     """The closure of a submodule: preimage of the torsion part of the quotient."""
     _require_same_ring(module, sigma)

@@ -10,10 +10,11 @@ that reason.  The interesting work is finding canonical certificates
 deterministically and checking, over every submodule of the carriers A
 and A^2, what can fail: certificates re-verify and survive quotient maps,
 closures have colon witnesses, upper closures are closed, have maximal
-elements and have one exactly when they hold the closure, and stability
-data passes through totally torsion quotients; then, on the ring, the
-Kaplansky criteria, the meet decomposition, jansian structure and induced
-filters.
+elements and have one exactly when they hold the closure, and every pair
+N <= M has h <= h_bar and h_bar*ann(T) <= h, for h = (N : M) and
+h_bar = (N + T : M + T), so stability data passes through M -> M/T under
+every filter holding ann(T); then, on the ring, the Kaplansky criteria,
+the meet decomposition, jansian structure and induced filters.
 Both sides of every biconditional are computed from the definitions; a
 mismatch means an implementation bug and is reported.
 
@@ -25,7 +26,8 @@ The suite runs once per (ring, filter), but much of its work does not
 depend on the filter: the colons grouped by value along each colon-matrix
 row, the maximal members of each upper-closure mask, the colons occurring
 in each colon row, the image colons of every inclusion pair under each
-quotient map, and the element-level re-verification of each certificate.
+quotient map, the quotient-transfer verdict of each T, and the
+element-level re-verification of each certificate.
 ``_LatticeTables`` holds these for one lattice, each entry built on its
 first read, and the filter-dependent part of every check is a membership
 test against them.  A lone ``theorem_suite`` call builds its own tables
@@ -47,7 +49,6 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import (
-    NotAscending,
     NotASubmodule,
     PreconditionFailed,
     RingMismatch,
@@ -92,14 +93,6 @@ class Certificate:
     filter_ideal: Ideal
 
 
-@dataclass(frozen=True)
-class ChainStability:
-    """A pivot index m (1-based) and h with N_s*h <= N_m for all s >= m."""
-
-    stable_index: int
-    h: Ideal
-
-
 class _LatticeTables:
     """The filter-independent tables of one lattice, each entry built on its
     first read; see the module docstring for who shares them."""
@@ -120,6 +113,10 @@ class _LatticeTables:
         # transfer_images[T][h]: the colons h_bar of the image pairs
         # (N + T, M + T) over the pairs N <= M with colon (N : M) = h
         self.transfer_images = _Rows(self._transfer_images)
+        # passing[ann][h]: the h_bar with h <= h_bar and h_bar*ann <= h, as a mask
+        self.passing = _Rows(self._passing)
+        # transfers[T]: every image colon of T passes, as in passing[ann(T)]
+        self.transfers = _Rows(self._transfers)
         # verified[(H, h, S)]: the re-verification of the certificate (H, h)
         # of N_S, for an h in the filter
         self.verified: dict[tuple[int, int, int], tuple[bool, str | None]] = {}
@@ -150,6 +147,19 @@ class _LatticeTables:
             for m_idx, h in zip(ups, colons):
                 images[h] |= 1 << row_bar[plus_t[m_idx]]
         return images
+
+    def _passing(self, ann: int) -> list[int]:
+        rl = self.lat.ring_lattice
+        up = rl.up_masks()
+        below = [0] * rl.n  # below[h]: the h_bar with h_bar*ann <= h
+        for h_bar in range(rl.n):
+            for h in _bits(up[rl.prod(h_bar, ann)]):
+                below[h] |= 1 << h_bar
+        return [up_h & below_h for up_h, below_h in zip(up, below)]
+
+    def _transfers(self, t_idx: int) -> bool:
+        passing = self.passing[self.lat.colon_matrix()[self.lat.zero][t_idx]]
+        return not any(bars & ~ok for bars, ok in zip(self.transfer_images[t_idx], passing))
 
 
 _SHARED_TABLES = "suite_tables"  # key in FiniteRing._cache inside shared_suite_tables
@@ -186,12 +196,16 @@ def tfg_certificate(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) 
     """
     _require_same_ring(module, sigma)
     lat = submodule_lattice(module)
-    h_idx, colon_idx = _tfg_certificate(lat, lat.idx(sub), sigma.member_indices())
+    found = _tfg_certificate(lat, lat.idx(sub), sigma.member_indices())
+    if found is None:  # finite carrier: H = N with h = (1) always qualifies
+        raise TheoremViolation(f"no certificate for submodule {lat.idx(sub)} of {module.label}")
+    h_idx, colon_idx = found
     return Certificate("totally_fg", lat.min_gens(h_idx), lat.ring_lattice.ideals[colon_idx])
 
 
-def _tfg_certificate(lat, n_idx: int, members: frozenset) -> tuple[int, int]:
-    """(H, (H : N)) as indices for the canonical certificate of N_n."""
+def _tfg_certificate(lat, n_idx: int, members: frozenset) -> tuple[int, int] | None:
+    """(H, (H : N)) as indices for the canonical certificate of N_n, or None
+    when no colon (H : N) lies in the filter."""
     cm = lat.colon_matrix()
     up = lat.up_masks()
     best_key = None
@@ -207,9 +221,7 @@ def _tfg_certificate(lat, n_idx: int, members: frozenset) -> tuple[int, int]:
         key = (len(gens), -len(lat.ring_lattice.sets[colon_idx]), colon_idx, gens, h_idx)
         if best_key is None or key < best_key:
             best_key = key
-    if best_key is None:  # finite carrier: H = N with h = (1) always qualifies
-        raise TheoremViolation(f"no certificate for submodule {n_idx} of {lat.module.label}")
-    return best_key[-1], best_key[2]
+    return None if best_key is None else (best_key[-1], best_key[2])
 
 
 def verify_certificate(
@@ -239,23 +251,22 @@ def totally_torsion_certificate(
     The annihilator is the largest ideal killing N, so the submodule is
     totally torsion iff this certificate exists.
     """
-    lat, _, _, ann = _totally_torsion(module, sub, sigma)
+    lat, _, ann = _totally_torsion(module, sub, sigma)
     return Certificate("totally_torsion", (), lat.ring_lattice.ideals[ann])
 
 
 def _totally_torsion(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) -> tuple:
-    """(lattice, N, members, (0 : N)) as indices; (0 : N) must lie in the filter."""
+    """(lattice, N, (0 : N)) as indices; (0 : N) must lie in the filter."""
     _require_same_ring(module, sigma)
     lat = submodule_lattice(module)
-    members = sigma.member_indices()
     n_idx = lat.idx(sub)
     ann = lat.pair_colon(lat.zero, n_idx)
-    if ann not in members:
+    if ann not in sigma.member_indices():
         raise PreconditionFailed(
             f"submodule is not totally torsion: annihilator "
             f"{lat.ring_lattice.ideals[ann].label} outside {sigma.label}"
         )
-    return lat, n_idx, members, ann
+    return lat, n_idx, ann
 
 
 def closure_colon_witness(
@@ -306,44 +317,6 @@ def _colon_witnesses(
     return out
 
 
-def sigma_maximal(
-    module: FiniteModule, family: Sequence[frozenset], sigma: GabrielFilter
-) -> list[tuple[frozenset, Ideal]]:
-    """Members N of the family that one filter ideal pushes every superset into.
-
-    For each qualifying N the returned h is the largest valid one: the
-    intersection of the colons (N : H) over all family members H >= N.
-    """
-    _require_same_ring(module, sigma)
-    if not family:
-        raise ValueError("family must be nonempty")
-    lat = submodule_lattice(module)
-    idxs = sorted(lat.idx(s) for s in family)
-    return [
-        (lat.submodules[n], lat.ring_lattice.ideals[h])
-        for n, h in _sigma_maximal(lat, idxs, sigma.member_indices())
-    ]
-
-
-def _sigma_maximal(lat, family: Sequence[int], members: frozenset) -> list[tuple[int, int]]:
-    """(N, h) for each index N of the family whose colons (N : H) into the
-    members H >= N meet in a filter ideal; h is that meet, the largest one."""
-    rl = lat.ring_lattice
-    cm = lat.colon_matrix()
-    up = lat.up_masks()
-    out = []
-    for n in family:
-        acc = rl.top
-        row = cm[n]
-        above = up[n]
-        for h in family:
-            if above >> h & 1:
-                acc = rl.inter(acc, row[h])
-        if acc in members:
-            out.append((n, acc))
-    return out
-
-
 def upper_closure(
     module: FiniteModule, family: Sequence[frozenset], sigma: GabrielFilter
 ) -> tuple[frozenset, ...]:
@@ -386,37 +359,20 @@ def unique_maximal_check(module: FiniteModule, sub: frozenset, sigma: GabrielFil
     lat = submodule_lattice(module)
     members = sigma.member_indices()
     n_idx = lat.idx(sub)
-    maximal = lat.maximal(_bits(_upper_closure(lat, (n_idx,), members)))
-    closure_in_family = lat.pair_colon(n_idx, lat.closure(n_idx, members)) in members
-    if (len(maximal) == 1) != closure_in_family:
+    upper = _upper_closure(lat, (n_idx,), members)
+    maximal = lat.maximal(_bits(upper))
+    if not _unique_maximal(lat, n_idx, members, upper, maximal):
         raise TheoremViolation(
             f"unique-maximal biconditional failed on {module.label} for "
             f"N={sorted(sub)} under {sigma.label}: maximal={maximal}, "
-            f"closure-in-family={closure_in_family}"
+            f"closure-in-family={len(maximal) != 1}"  # the sides differ
         )
     return True
 
 
-def chain_stability(
-    module: FiniteModule, chain: Sequence[frozenset], sigma: GabrielFilter
-) -> ChainStability:
-    """Smallest pivot m, then largest h, with N_s*h <= N_m for all s >= m."""
-    _require_same_ring(module, sigma)
-    if not chain:
-        raise NotAscending("empty chain")
-    for a, b in zip(chain, chain[1:]):
-        if not a <= b:
-            raise NotAscending("chain is not ascending")
-    lat = submodule_lattice(module)
-    rl = lat.ring_lattice
-    members = sigma.member_indices()
-    last = lat.idx(chain[-1])
-    for m, sub in enumerate(chain, start=1):
-        # colons against later chain terms only shrink, so the last decides
-        acc = lat.pair_colon(lat.idx(sub), last)
-        if acc in members:
-            return ChainStability(stable_index=m, h=rl.ideals[acc])
-    raise TheoremViolation("finite chain without stability pivot")
+def _unique_maximal(lat, n_idx: int, members: frozenset, upper: int, maxima: list) -> bool:
+    """The biconditional for N_n, given its upper closure mask and its maxima."""
+    return (len(maxima) == 1) == bool(upper >> lat.closure(n_idx, members) & 1)
 
 
 def quotient_transfer_check(
@@ -425,58 +381,22 @@ def quotient_transfer_check(
     """Transfer of stability data between M and M/T for totally torsion T.
 
     A chain's stability pivot depends only on the pair (pivot, last term),
-    so the check runs over all inclusion pairs: forward, stability of a pair
-    survives to the image pair in M/T with the same h; backward, stability
-    of the image pair composed with an ideal killing T comes back down.
+    so the check runs over all inclusion pairs N <= M: with h = (N : M) and
+    h_bar = (N + T : M + T), h <= h_bar carries stability to the image pair,
+    and h_bar*ann(T) <= h brings it back.  Neither reads the filter, which
+    only has to hold ann(T), as filters are closed upward and under products.
     """
-    lat, t_idx, members, _ = _totally_torsion(module, t_sub, sigma)
-    return _quotient_transfer(lat, (t_idx,), members)[0]
+    lat, t_idx, _ = _totally_torsion(module, t_sub, sigma)
+    return _quotient_transfer(lat, (t_idx,))[0]
 
 
 def _quotient_transfer(
-    lat, t_idxs: Sequence[int], members: frozenset, tables: _LatticeTables | None = None
+    lat, t_idxs: Sequence[int], tables: _LatticeTables | None = None
 ) -> list[bool]:
-    """The transfer check for each T = N_t of t_idxs, whose annihilators lie
-    in the filter.
-
-    A pair N <= M passes on its colon h = (N : M), the colon h_bar of its
-    image pair (N + T, M + T) and ann(T) alone.  Which (h, h_bar) occur
-    does not depend on the filter and is read from the tables, one mask of
-    h_bar per h; which pass is tabulated once per annihilator.  T passes
-    iff every occurring pair passes.
-    """
-    images = (tables or _LatticeTables(lat)).transfer_images
-    rl = lat.ring_lattice
-    cm = lat.colon_matrix()
-    up = rl.up_masks()
-    in_filter = [a in members for a in range(rl.n)]
-    passing_by_ann: dict[int, list[int]] = {}
-
-    def passing(ann: int) -> list[int]:
-        """Bit h_bar of entry h: the colon pair (h, h_bar) passes."""
-        times_ann = [rl.prod(a, ann) for a in range(rl.n)]
-        out = []
-        for h in range(rl.n):
-            mask = 0
-            for h_bar, composed in enumerate(times_ann):
-                # forward: stability of the pair survives to its image with h
-                if in_filter[h] and not (up[h] >> h_bar & 1 and in_filter[h_bar]):
-                    continue
-                # backward: N_m * (h_bar * annT) <= N_n, with h_bar * annT in the filter
-                if in_filter[h_bar] and not (in_filter[composed] and up[composed] >> h & 1):
-                    continue
-                mask |= 1 << h_bar
-            out.append(mask)
-        return out
-
-    def transfers(t_idx: int) -> bool:
-        ann = cm[lat.zero][t_idx]
-        if ann not in passing_by_ann:
-            passing_by_ann[ann] = passing(ann)
-        ok = passing_by_ann[ann]
-        return not any(bars & ~passes for bars, passes in zip(images[t_idx], ok))
-
-    return [transfers(t_idx) for t_idx in t_idxs]
+    """The transfer check for each T = N_t of t_idxs: every image colon
+    h_bar of a pair with colon h satisfies h <= h_bar and h_bar*ann(T) <= h."""
+    transfers = (tables or _LatticeTables(lat)).transfers
+    return [transfers[t_idx] for t_idx in t_idxs]
 
 
 @dataclass(frozen=True)
@@ -643,21 +563,25 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         # a filter member, so its verdict is re-verified once per set of tables
         t = tallies["certificates-verify"]
         certificates = [_tfg_certificate(lat, s_idx, members) for s_idx in range(lat.n)]
-        for s_idx, (h_idx, colon_idx) in enumerate(certificates):
-            key = (h_idx, colon_idx, s_idx)
-            if key not in tables.verified:
+        for s_idx, cert in enumerate(certificates):
+            key = cert and (*cert, s_idx)
+            if key and key not in tables.verified:
                 tables.verified[key] = _reverify(module, lat, sigma, key)
-            ok, reason = tables.verified[key]
+            ok, reason = tables.verified[key] if key else (False, "no certificate")
             t.check(ok, "{}: S={}: {}", where, s_idx, reason)
 
         # images of certified submodules under quotient maps stay certified:
         # ((H + N) : (S + N)) contains (H : S) for the certificate's H; over
-        # every N, the images are rows H and S of the sum matrix
+        # every N, the images are rows H and S of the sum matrix; an S without
+        # a certificate has failed above
         t = tallies["totally-fg-quotient-images"]
         sm = lat.sum_matrix()
         member_mask = _mask(members)
         first_bad = None  # the least failing (N, S)
-        for s_idx, (h_idx, _) in enumerate(certificates):
+        for s_idx, cert in enumerate(certificates):
+            if cert is None:
+                continue
+            h_idx = cert[0]
             if tables.quotient_images[h_idx, s_idx] & ~member_mask:
                 images = [cm[image_h][image_s] for image_h, image_s in zip(sm[h_idx], sm[s_idx])]
                 n_idx = next(n for n, c in enumerate(images) if c not in members)
@@ -684,13 +608,13 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         # unique maximal element iff the closure joins the upper closure
         t = tallies["unique-maximal"]
         for n_idx in range(lat.n):
-            rhs = bool(upper[n_idx] >> lat.closure(n_idx, members) & 1)
-            t.check((len(maxima[n_idx]) == 1) == rhs, "{}: N={}", where, n_idx)
+            ok = _unique_maximal(lat, n_idx, members, upper[n_idx], maxima[n_idx])
+            t.check(ok, "{}: N={}", where, n_idx)
 
         # quotients by totally torsion submodules preserve stability data
         t = tallies["totally-torsion-quotient-transfer"]
         torsion = [t_idx for t_idx in range(lat.n) if cm[lat.zero][t_idx] in members]
-        for t_idx, ok in zip(torsion, _quotient_transfer(lat, torsion, members, tables)):
+        for t_idx, ok in zip(torsion, _quotient_transfer(lat, torsion, tables)):
             t.check(ok, "{}: T={}", where, t_idx)
 
     # ring-level statements

@@ -7,7 +7,12 @@ import gc
 import pytest
 
 from torsionlab import noether
-from torsionlab.errors import InvalidArgument, NotAscending, NotASubmodule, PreconditionFailed
+from torsionlab.errors import (
+    InvalidArgument,
+    NotASubmodule,
+    PreconditionFailed,
+    TheoremViolation,
+)
 from torsionlab.filters import (
     enumerate_gabriel_filters,
     filter_from_mult_set,
@@ -18,10 +23,8 @@ from torsionlab.filters import (
 from torsionlab.modules import SubmoduleLattice, free_module, submodule_lattice
 from torsionlab.noether import (
     Certificate,
-    chain_stability,
     closure_colon_witness,
     quotient_transfer_check,
-    sigma_maximal,
     sigma_principal_status,
     tfg_certificate,
     theorem_suite,
@@ -154,23 +157,6 @@ def test_closure_colon_witness_rejects_non_submodules(z12, sigma39):
 # -- maximality ------------------------------------------------------------------
 
 
-def test_sigma_maximal_examples(z12, sigma39):
-    m = free_module(z12, 1)
-    fam = [frozenset({0}), frozenset({0, 6})]
-    out = sigma_maximal(m, fam, sigma39)
-    assert len(out) == 1
-    sub, h = out[0]
-    assert sub == frozenset({0, 6})
-    assert h.elements == frozenset(range(12))
-
-    out = sigma_maximal(m, [frozenset({0, 6})], sigma39)
-    assert out[0][1].elements == frozenset(range(12))
-
-    lat = submodule_lattice(m)
-    out = sigma_maximal(m, list(lat.submodules), improper_filter(z12))
-    assert len(out) == lat.n  # every member qualifies under the improper filter
-
-
 def test_upper_closure_examples(z12, sigma39):
     m = free_module(z12, 1)
     got = upper_closure(m, [frozenset({0, 6})], sigma39)
@@ -195,29 +181,6 @@ def test_unique_maximal_check(z12, sigma39):
     for sigma in enumerate_gabriel_filters(z12):
         for sub in lat.submodules:
             assert unique_maximal_check(m, sub, sigma)
-
-
-# -- chains ------------------------------------------------------------------------
-
-
-def test_chain_stability_examples(z12, sigma39):
-    m = free_module(z12, 1)
-    i2 = frozenset({0, 2, 4, 6, 8, 10})
-    const = chain_stability(m, [i2, i2, i2], sigma39)
-    assert const.stable_index == 1
-    assert const.h.elements == frozenset(range(12))
-
-    chain = [frozenset({0}), frozenset({0, 6}), i2, i2]
-    got = chain_stability(m, chain, trivial_filter(z12))
-    assert got.stable_index == 3
-    assert got.h.elements == frozenset(range(12))
-
-    got = chain_stability(m, [frozenset({0, 4, 8}), i2], sigma39)
-    assert got.stable_index == 2
-    assert got.h.elements == frozenset(range(12))
-
-    with pytest.raises(NotAscending):
-        chain_stability(m, [i2, frozenset({0})], sigma39)
 
 
 # -- quotient transfer ---------------------------------------------------------------
@@ -490,6 +453,33 @@ def test_planted_suite_failure_exits_1(monkeypatch):
     assert report["counterexamples"] == ["Z/6 / filter<(1)> / unique-maximal: Z/6: N=1"]
 
 
+def test_missing_certificate_fails_certificates_verify(monkeypatch):
+    # A = Z/6 under the trivial filter; planting (0 : 0) as the zero ideal
+    # leaves the submodule 0 without a colon (H : 0) in the filter, so it has
+    # no certificate: the suite reports a failed certificates-verify with
+    # exit 1, and the public tfg_certificate raises.  The upper closure of 0
+    # loses 0 itself, so upper-closed-families-have-maximal fails too
+    from torsionlab import cli
+
+    ring = zmod(6)
+    lat = SubmoduleLattice(free_module(ring, 1))
+    _plant(lat, lat.zero, lat.zero, lat.ring_lattice.zero)
+    monkeypatch.setattr(cli, "build_ring", lambda term, cap: ring)
+    real = noether.submodule_lattice
+    monkeypatch.setattr(
+        noether, "submodule_lattice",
+        lambda m: lat if m.ring is ring and m.rank == 1 else real(m),
+    )
+    report, code = cli.execute({"task": "suite", "ring": {"zmod": 6}, "filter": "trivial"})
+    assert code == 1
+    assert report["counterexamples"] == [
+        "Z/6 / filter<(1)> / certificates-verify: Z/6: S=0: no certificate",
+        "Z/6 / filter<(1)> / upper-closed-families-have-maximal: Z/6: N=0",
+    ]
+    with pytest.raises(TheoremViolation, match="no certificate for submodule 0 of Z/6"):
+        tfg_certificate(free_module(ring, 1), frozenset({0}), trivial_filter(ring))
+
+
 def test_induced_filters_catch_planted_preimage(monkeypatch):
     # on Z/6 under the filter of ideals outside (3), a preimage that is
     # always the whole ring makes every ideal of the target a member, while
@@ -553,7 +543,7 @@ def test_many_t_transfer_matches_single_t_check(monkeypatch):
                 members = sigma.member_indices()
                 torsion = [t for t in range(lat.n) if lat.pair_colon(lat.zero, t) in members]
                 single = [quotient_transfer_check(module, lat.sets[t], sigma) for t in torsion]
-                assert noether._quotient_transfer(lat, torsion, members) == single
+                assert noether._quotient_transfer(lat, torsion) == single
     ring = zmod(6)
     module = free_module(ring, 1)
     sigma = filter_from_prime(ring, ideal_from_generators(ring, [3]))
@@ -563,7 +553,7 @@ def test_many_t_transfer_matches_single_t_check(monkeypatch):
     torsion = [lat.zero, lat.idx(frozenset({0, 3}))]
     single = [quotient_transfer_check(module, lat.sets[t], sigma) for t in torsion]
     assert single == [True, False]
-    assert noether._quotient_transfer(lat, torsion, sigma.member_indices()) == single
+    assert noether._quotient_transfer(lat, torsion) == single
 
 
 # -- tables shared across the filters of a ring -------------------------------------------
