@@ -430,8 +430,6 @@ def _run_monomial(doc: dict, cap: int, budget: DecisionBudget) -> tuple[dict, li
     results: dict = {"kind": "monomial-decide", "op": op, "mult_set": mult.label}
     counterexamples: list[str] = []
     if op in ("decide", "saturate", "in_filter"):
-        if "ideal" not in params:
-            raise SpecValidationError(f"monomial op {op!r} needs params.ideal")
         ideal = _parse_monomial_ideal(params["ideal"])
         results["ideal"] = ideal.label
         if op == "decide":
@@ -451,8 +449,6 @@ def _run_monomial(doc: dict, cap: int, budget: DecisionBudget) -> tuple[dict, li
             results["found"] = found
             results["power"] = power
     elif op == "cohen":
-        if "primes" not in params:
-            raise SpecValidationError("monomial op 'cohen' needs params.primes")
         patterns = [_parse_pattern(p) for p in params["primes"]]
         report = cohen_scan(mult, patterns, budget)
         results["entries"] = [

@@ -391,7 +391,8 @@ def meet_decomposition_check(sigma: GabrielFilter) -> bool:
 
 
 def ideal_power_stabilized(ideal: Ideal) -> tuple[int, Ideal]:
-    """Iterate a^(n+1) = a*a^n until repetition; returns (exponent, power)."""
+    """Iterate a^(n+1) = a*a^n until repetition; returns (exponent, power).
+    The powers descend; one that grows (a wrong product table) raises."""
     power = ideal
     n = 1
     while True:
@@ -399,6 +400,8 @@ def ideal_power_stabilized(ideal: Ideal) -> tuple[int, Ideal]:
         n += 1
         if nxt.elements == power.elements:
             return n - 1, power
+        if not nxt.elements <= power.elements:
+            raise TheoremViolation(f"power {n} of {ideal.label} is not inside power {n - 1}")
         power = nxt
 
 

@@ -19,26 +19,29 @@ Both sides of every biconditional are computed from the definitions; a
 mismatch means an implementation bug and is reported.
 
 Each public predicate is a thin wrapper over an index-level core on
-(lattice, index, filter member indices); the theorem suite calls the same
-cores, so it checks what the public functions return.
+(tables or lattice, index, filter member indices); the theorem suite calls
+the same cores, so it checks what the public functions return.  A
+ring-level check that raises TheoremViolation inside the suite is a failed
+instance of its theorem, with the violation as counterexample, not a
+traceback.
 
 The suite runs once per (ring, filter), but much of its work does not
 depend on the filter: the colons grouped by value along each colon-matrix
 row, the maximal members of each upper-closure mask, the colons occurring
-in each colon row, the image colons of every inclusion pair under each
+in each colon row, the image colons of each certificate pair under every
 quotient map, the quotient-transfer verdict of each T, and the
 element-level re-verification of each certificate.
 ``_LatticeTables`` holds these for one lattice, each entry built on its
 first read, and the filter-dependent part of every check is a membership
-test against them.  A lone ``theorem_suite`` call builds its own tables
-and drops them.  A sweep shares one set per lattice across all the filters
-of a ring by running the ring's suites inside
-``shared_suite_tables(ring)``, which attaches the tables to the ring for
-the block and removes them on exit.  Nothing is stored on the lattice
-itself, for two reasons: a lattice-lifetime memo would hide a colon or sum
-entry planted between two runs on one lattice, and the entry point stays
-``theorem_suite(ring, sigma)``, one call per pair, so code that wraps it
-sees every call.
+test against them.  Suite and public predicates alike get their tables
+from ``_lattice_tables(lat)``: fresh ones, dropped after the call, unless
+the ring's suites run inside ``shared_suite_tables(ring)``, as a sweep's
+do; that block attaches one set per lattice to the ring, shared by all of
+the ring's filters, and removes it on exit.  Nothing is stored on the
+lattice itself, for two reasons: a lattice-lifetime memo would hide a
+colon or sum entry planted between two runs on one lattice, and the entry
+point stays ``theorem_suite(ring, sigma)``, one call per pair, so code that
+wraps it sees every call.
 """
 
 from __future__ import annotations
@@ -110,12 +113,9 @@ class _LatticeTables:
         self.occurring = _Rows(lambda n: _mask(set(lat.colon_row(n))))
         # quotient_images[(H, S)]: the colons ((H + N) : (S + N)) over every N
         self.quotient_images = _Rows(self._quotient_images)
-        # transfer_images[T][h]: the colons h_bar of the image pairs
-        # (N + T, M + T) over the pairs N <= M with colon (N : M) = h
-        self.transfer_images = _Rows(self._transfer_images)
         # passing[ann][h]: the h_bar with h <= h_bar and h_bar*ann <= h, as a mask
         self.passing = _Rows(self._passing)
-        # transfers[T]: every image colon of T passes, as in passing[ann(T)]
+        # transfers[T]: the quotient-transfer verdict of T, as in _transfers
         self.transfers = _Rows(self._transfers)
         # verified[(H, h, S)]: the re-verification of the certificate (H, h)
         # of N_S, for an h in the filter
@@ -138,16 +138,6 @@ class _LatticeTables:
         lat, cm = self.lat, self.lat.colon_matrix()
         return [(lat.upset(n), [cm[n][m] for m in lat.upset(n)]) for n in range(lat.n)]
 
-    def _transfer_images(self, t_idx: int) -> list[int]:
-        cm = self.lat.colon_matrix()
-        plus_t = self.lat.sum_matrix()[t_idx]
-        images = [0] * self.lat.ring_lattice.n
-        for n_idx, (ups, colons) in enumerate(self.pair_colons):
-            row_bar = cm[plus_t[n_idx]]
-            for m_idx, h in zip(ups, colons):
-                images[h] |= 1 << row_bar[plus_t[m_idx]]
-        return images
-
     def _passing(self, ann: int) -> list[int]:
         rl = self.lat.ring_lattice
         up = rl.up_masks()
@@ -158,8 +148,17 @@ class _LatticeTables:
         return [up_h & below_h for up_h, below_h in zip(up, below)]
 
     def _transfers(self, t_idx: int) -> bool:
-        passing = self.passing[self.lat.colon_matrix()[self.lat.zero][t_idx]]
-        return not any(bars & ~ok for bars, ok in zip(self.transfer_images[t_idx], passing))
+        """Whether, for T = N_t, each image colon h_bar = (N + T : M + T) of a
+        pair N <= M lies in passing[ann(T)][h], h = (N : M); images[h] holds them."""
+        cm = self.lat.colon_matrix()
+        plus_t = self.lat.sum_matrix()[t_idx]
+        images = [0] * self.lat.ring_lattice.n
+        for n_idx, (ups, colons) in enumerate(self.pair_colons):
+            row_bar = cm[plus_t[n_idx]]
+            for m_idx, h in zip(ups, colons):
+                images[h] |= 1 << row_bar[plus_t[m_idx]]
+        passing = self.passing[cm[self.lat.zero][t_idx]]
+        return not any(bars & ~ok for bars, ok in zip(images, passing))
 
 
 _SHARED_TABLES = "suite_tables"  # key in FiniteRing._cache inside shared_suite_tables
@@ -283,7 +282,7 @@ def closure_colon_witness(
         raise NotASubmodule("witness search input is not a submodule")
     members = sigma.member_indices()
     n_idx = lat.index[sub]
-    h_idx, = _colon_witnesses(lat, (n_idx,), members)
+    h_idx, = _colon_witnesses(_lattice_tables(lat), (n_idx,), members)
     if h_idx is None:
         raise TheoremViolation(
             f"no colon witness on {module.label}: submodule={sorted(sub)}, "
@@ -294,7 +293,7 @@ def closure_colon_witness(
 
 
 def _colon_witnesses(
-    lat, n_idxs: Sequence[int], members: frozenset, tables: _LatticeTables | None = None
+    tables: _LatticeTables, n_idxs: Sequence[int], members: frozenset
 ) -> list[int | None]:
     """For each index N of n_idxs, the coarsest member h with (N : h) equal
     to the closure of N, or None.
@@ -303,8 +302,8 @@ def _colon_witnesses(
     filter}, so h qualifies iff, on the colons (N : m) that occur, being
     above h is being in the filter.
     """
-    occurring = (tables or _LatticeTables(lat)).occurring
-    rl = lat.ring_lattice
+    occurring = tables.occurring
+    rl = tables.lat.ring_lattice
     up = rl.up_masks()
     member_mask = _mask(members)
     # ring-lattice indices follow Ideal.sort_key, so ties go to the smaller index
@@ -324,20 +323,16 @@ def upper_closure(
     _require_same_ring(module, sigma)
     lat = submodule_lattice(module)
     idxs = [lat.idx(s) for s in family]
-    return tuple(
-        lat.submodules[h] for h in _bits(_upper_closure(lat, idxs, sigma.member_indices()))
-    )
+    found = _upper_closure(_lattice_tables(lat), idxs, sigma.member_indices())
+    return tuple(lat.submodules[h] for h in _bits(found))
 
 
-def _upper_closure(
-    lat, family: Sequence[int], members: frozenset, tables: _LatticeTables | None = None
-) -> int:
+def _upper_closure(tables: _LatticeTables, family: Sequence[int], members: frozenset) -> int:
     """Bitmask of the indices H with (N : H) in the filter for some index N
     of the family: the OR of the colon groups of N whose colon is a member."""
-    groups = (tables or _LatticeTables(lat)).colon_groups
     found = 0
     for n in family:
-        for c, mask in groups[n]:
+        for c, mask in tables.colon_groups[n]:
             if c in members:
                 found |= mask
     return found
@@ -349,7 +344,8 @@ def is_upper_closed(
     _require_same_ring(module, sigma)
     lat = submodule_lattice(module)
     idxs = [lat.idx(s) for s in family]
-    return _upper_closure(lat, idxs, sigma.member_indices()) == sum(1 << i for i in set(idxs))
+    found = _upper_closure(_lattice_tables(lat), idxs, sigma.member_indices())
+    return found == sum(1 << i for i in set(idxs))
 
 
 def unique_maximal_check(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) -> bool:
@@ -359,7 +355,7 @@ def unique_maximal_check(module: FiniteModule, sub: frozenset, sigma: GabrielFil
     lat = submodule_lattice(module)
     members = sigma.member_indices()
     n_idx = lat.idx(sub)
-    upper = _upper_closure(lat, (n_idx,), members)
+    upper = _upper_closure(_lattice_tables(lat), (n_idx,), members)
     maximal = lat.maximal(_bits(upper))
     if not _unique_maximal(lat, n_idx, members, upper, maximal):
         raise TheoremViolation(
@@ -387,16 +383,7 @@ def quotient_transfer_check(
     only has to hold ann(T), as filters are closed upward and under products.
     """
     lat, t_idx, _ = _totally_torsion(module, t_sub, sigma)
-    return _quotient_transfer(lat, (t_idx,))[0]
-
-
-def _quotient_transfer(
-    lat, t_idxs: Sequence[int], tables: _LatticeTables | None = None
-) -> list[bool]:
-    """The transfer check for each T = N_t of t_idxs: every image colon
-    h_bar of a pair with colon h satisfies h <= h_bar and h_bar*ann(T) <= h."""
-    transfers = (tables or _LatticeTables(lat)).transfers
-    return [transfers[t_idx] for t_idx in t_idxs]
+    return _lattice_tables(lat).transfers[t_idx]
 
 
 @dataclass(frozen=True)
@@ -495,6 +482,16 @@ class _Tally:
             self.passed = False
             self.counterexample = witness.format(*args)
 
+    def run(self, check, *args):
+        """check(*args), or None when it raises a TheoremViolation: the
+        theorem has then failed with the violation as its counterexample,
+        and the ``check`` of that None counts the failed instance."""
+        try:
+            return check(*args)
+        except TheoremViolation as exc:
+            self.check(False, "{}", exc, instances=0)
+            return None
+
 
 _THEOREM_ORDER = (
     "certificates-verify",
@@ -555,7 +552,7 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         # upper[n]: the upper closure of {N_n} as a bitmask, i.e. every H
         # with (N_n : H) in the filter; upper_members[n] lists its bits, and
         # its maximal elements serve two theorems below
-        upper = [_upper_closure(lat, (n,), members, tables) for n in range(lat.n)]
+        upper = [_upper_closure(tables, (n,), members) for n in range(lat.n)]
         upper_members = [tables.family_bits[fam] for fam in upper]
         maxima = [tables.family_maxima[fam] for fam in upper]
 
@@ -594,7 +591,7 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
 
         # closure-colon witness exists for every submodule
         t = tallies["closure-colon-witness"]
-        witnesses = _colon_witnesses(lat, range(lat.n), members, tables)
+        witnesses = _colon_witnesses(tables, range(lat.n), members)
         for s_idx, h_idx in enumerate(witnesses):
             t.check(h_idx is not None, "{}: S={}", where, s_idx)
 
@@ -613,9 +610,9 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
 
         # quotients by totally torsion submodules preserve stability data
         t = tallies["totally-torsion-quotient-transfer"]
-        torsion = [t_idx for t_idx in range(lat.n) if cm[lat.zero][t_idx] in members]
-        for t_idx, ok in zip(torsion, _quotient_transfer(lat, torsion, tables)):
-            t.check(ok, "{}: T={}", where, t_idx)
+        for t_idx in range(lat.n):
+            if cm[lat.zero][t_idx] in members:
+                t.check(tables.transfers[t_idx], "{}: T={}", where, t_idx)
 
     # ring-level statements
     principal_idx = _principal_indices(rl)
@@ -636,42 +633,33 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
 
     t = tallies["kaplansky-prime-criterion"]
     pir_side = all(cert is not None for _, cert in principal_status)
-    k_primes = spec_partition(sigma).K
-    prime_pir_side = all(principal_status[rl.idx(p)][1] is not None for p in k_primes)
+    partition = t.run(spec_partition, sigma)
+    prime_pir_side = partition and all(
+        principal_status[rl.idx(p)][1] is not None for p in partition.K
+    )
     t.check(pir_side == prime_pir_side, "PIR={}, K-primes={}", pir_side, prime_pir_side)
 
     t = tallies["kaplansky-noetherian-corollary"]
     sigma_pir = all(witness is not None for witness, _ in principal_status)
     t.check(pir_side == sigma_pir, "totally-PIR={}, sigma-PIR={}", pir_side, sigma_pir)
 
-    tallies["meet-decomposition"].check(
-        meet_decomposition_check(sigma), "filter differs from its prime meet"
-    )
+    t = tallies["meet-decomposition"]
+    t.check(t.run(meet_decomposition_check, sigma), "filter differs from its prime meet")
 
-    status = jansian_status(sigma)
-    tallies["almost-jansian"].check(
-        status.is_jansian and status.is_almost_jansian,
+    t = tallies["almost-jansian"]
+    status = t.run(jansian_status, sigma)
+    t.check(
+        status and status.is_jansian and status.is_almost_jansian,
         "jansian structure failed on a finite ring",
     )
 
     # induced_filter checks the image description and the Gabriel rule
     t = tallies["induced-filters"]
-    maps = [identity_map(ring)] + [proj for _, proj in local_decomposition(ring)]
-    for ring_map in maps:
-        failure = None
-        try:
-            induced_filter(ring_map, sigma)
-        except TheoremViolation as exc:
-            failure = exc
-        t.check(failure is None, "{}", failure)
+    factors = t.run(local_decomposition, ring) or ()
+    for ring_map in [identity_map(ring)] + [proj for _, proj in factors]:
+        t.check(t.run(induced_filter, ring_map, sigma), "no filter along {}", ring_map.kind)
 
     results = tuple(
-        TheoremResult(
-            name,
-            tallies[name].instances,
-            tallies[name].passed,
-            tallies[name].counterexample,
-        )
-        for name in _THEOREM_ORDER
+        TheoremResult(name, t.instances, t.passed, t.counterexample) for name, t in tallies.items()
     )
     return SuiteReport(ring.label, sigma.label, results)

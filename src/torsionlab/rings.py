@@ -796,7 +796,9 @@ class SubobjectLattice:
                 if size > best_size:
                     best_size = size
                     best_x = x
-            grown = self._join(cur, self.index_by_mask[cyclic_masks[best_x]])
+            grown = cur
+            if best_x >= 0:  # else every element of N_i is in cur already
+                grown = self._join(cur, self.index_by_mask[cyclic_masks[best_x]])
             if grown == cur:  # only wrong up-set or cyclic masks get here
                 raise TheoremViolation(
                     f"greedy generators of {self.kind} stall: sub-object {cur} "
@@ -895,7 +897,13 @@ class SubobjectLattice:
         The filter is given by the ring-lattice indices of its members.
         """
         in_filter = map(members.__contains__, self.colon_row(i))
-        return self.index[frozenset(compress(range(self.size), in_filter))]
+        try:
+            return self.index[frozenset(compress(range(self.size), in_filter))]
+        except KeyError:  # only a member set that is not a filter gets here
+            raise TheoremViolation(
+                f"closure of sub-object {i} is not {self.kind}: "
+                f"the member indices {sorted(members)} are not a filter"
+            ) from None
 
 
 class IdealLattice(SubobjectLattice):

@@ -270,6 +270,20 @@ def test_main_out_of_range_input_exits_2(tmp_path, capsys, command, doc):
     assert "is not an element of Z/6" in err or "pattern must be nonempty" in err
 
 
+@pytest.mark.parametrize(
+    "op, missing",
+    [("decide", "ideal"), ("saturate", "ideal"), ("in_filter", "ideal"), ("cohen", "primes")],
+)
+def test_monomial_op_without_its_operand_exits_2(tmp_path, capsys, op, missing):
+    # the schema asks for params.ideal or params.primes by op, so jsonschema
+    # words the rejection
+    doc = {"params": {"op": op, "mult_set": {"s": {"vars": {"1": 1}}}}}
+    assert main(["monomial", "--spec", write_spec(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: spec validation failed at $.params: '{missing}' is a required property\n"
+    )
+
+
 @pytest.mark.parametrize("error", [KeyError, TheoremViolation], ids=lambda e: e.__name__)
 def test_main_internal_error_is_not_input_error(tmp_path, monkeypatch, capsys, error):
     def broken(ring, sigma):
@@ -620,7 +634,7 @@ def test_compiled_keywords_match_jsonschema(schema, instances):
           "params": {"ideal_gens": [True]}},
          "$.params.ideal_gens[0]: True is not of type 'integer'"),
         ({"task": "monomial-decide",
-          "params": {"op": "decide", "mult_set": {"s": {"vars": {"0": 1}}}}},
+          "params": {"op": "almost_jansian", "mult_set": {"s": {"vars": {"0": 1}}}}},
          "$.params.mult_set.s.vars: '0' does not match any of the regexes: '^[1-9][0-9]*$'"),
         ({"task": "nope"},
          "$.task: 'nope' is not one of ['enumerate', 'partition', 'closure', 'certify', "

@@ -261,6 +261,17 @@ def test_greedy_gens_raise_when_the_join_stalls():
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_greedy_gens_raise_when_no_element_is_left():
+    # planted: the whole carrier A = Z/6 leaves the up-set of 0, so the join
+    # 0 + A finds no common upper bound and every element then counts as
+    # reached; the guard must raise, not return -1 as a generator, which a
+    # certificate check once reported as bad input (exit 2)
+    lat = SubmoduleLattice(free_module(zmod(6), 1))
+    lat.up_masks()[lat.zero] ^= 1 << lat.top
+    with pytest.raises(TheoremViolation, match="stall"):
+        lat.min_gens(lat.top)
+
+
 @pytest.mark.parametrize("rank", [1, 2])
 def test_min_gens_count_is_nakayama_rank(rank):
     # the greedy generator count is the least one, mu(N), for every

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import signal
 
 import pytest
 
@@ -39,6 +40,7 @@ from torsionlab.rings import (
     enumerate_ideals,
     ideal_from_generators,
     ideal_lattice,
+    prime_spectrum,
     ring_catalog,
     square_zero,
     zmod,
@@ -530,20 +532,21 @@ def test_quotient_checks_catch_planted_sum(monkeypatch):
 
 
 def test_many_t_transfer_matches_single_t_check(monkeypatch):
-    """_quotient_transfer over every totally torsion T at once gives the
-    verdicts of quotient_transfer_check one T at a time: on A and A^2 of the
-    catalog rings up to size 8 under every Gabriel filter, and on a lattice
-    with a planted sum, where some T fail."""
+    """One set of tables read for every totally torsion T gives the verdicts
+    of quotient_transfer_check one T at a time, each on fresh tables: on A
+    and A^2 of the catalog rings up to size 8 under every Gabriel filter,
+    and on a lattice with a planted sum, where some T fail."""
     for term in ring_catalog(8):
         ring = build_ring(term)
         for rank in (1, 2):
             module = free_module(ring, rank)
             lat = submodule_lattice(module)
+            tables = noether._LatticeTables(lat)
             for sigma in enumerate_gabriel_filters(ring):
                 members = sigma.member_indices()
                 torsion = [t for t in range(lat.n) if lat.pair_colon(lat.zero, t) in members]
                 single = [quotient_transfer_check(module, lat.sets[t], sigma) for t in torsion]
-                assert noether._quotient_transfer(lat, torsion) == single
+                assert [tables.transfers[t] for t in torsion] == single
     ring = zmod(6)
     module = free_module(ring, 1)
     sigma = filter_from_prime(ring, ideal_from_generators(ring, [3]))
@@ -553,7 +556,130 @@ def test_many_t_transfer_matches_single_t_check(monkeypatch):
     torsion = [lat.zero, lat.idx(frozenset({0, 3}))]
     single = [quotient_transfer_check(module, lat.sets[t], sigma) for t in torsion]
     assert single == [True, False]
-    assert noether._quotient_transfer(lat, torsion) == single
+    tables = noether._LatticeTables(lat)
+    assert [tables.transfers[t] for t in torsion] == single
+
+
+# -- one planted defect per theorem ----------------------------------------------
+
+
+def _outside_3(ring):
+    return filter_from_prime(ring, ideal_of(ring, 3))
+
+
+def _plant_ring_sum(monkeypatch, ring, lat):
+    """On the ideal lattice of Z/6, set the sum 0 + (2) to (3)."""
+    rl = ideal_lattice(ring)
+    two, three = rl.idx(ideal_of(ring, 2)), rl.idx(ideal_of(ring, 3))
+    sm = rl.sum_matrix()
+    sm[rl.zero] = sm[rl.zero][:two] + (three,) + sm[rl.zero][two + 1:]
+
+
+def _plant_up_mask(monkeypatch, ring, lat):
+    """On the ideal lattice of Z/6, drop (1) from the up-set of (2), the
+    least member of the filter outside (3)."""
+    rl = ideal_lattice(ring)
+    rl.up_masks()[rl.idx(ideal_of(ring, 2))] &= ~(1 << rl.top)
+
+
+def _plant_spectrum(monkeypatch, ring, lat):
+    """Drop the prime (3) from the spectrum of Z/6."""
+    three = ideal_of(ring, 3)
+    ring._cache["spectrum"] = tuple(p for p in prime_spectrum(ring) if p != three)
+
+
+def _plant_product(monkeypatch, ring, lat):
+    """On the ideal lattice of Z/6, set (2)*(2), the square of the least
+    member of the filter outside (3), to 0."""
+    rl = ideal_lattice(ring)
+    b = rl.idx(ideal_of(ring, 2))
+    rl._prod[b, b] = rl.zero
+
+
+def _plant_zero_colon(monkeypatch, ring, lat):
+    """On the ideal lattice, set (0 : 0) to the zero ideal."""
+    rl = ideal_lattice(ring)
+    _plant(rl, rl.zero, rl.zero, rl.zero)
+
+
+def _plant_preimage(monkeypatch, ring, lat):
+    """Make every ring-map preimage the whole source ring."""
+    monkeypatch.setattr(
+        RingMap, "preimage_ideal",
+        lambda self, j: Ideal(self.source, frozenset(range(self.source.size))),
+    )
+
+
+# theorem -> (n of the ring Z/n, its filter, plant(monkeypatch, ring, lat)),
+# lat being the private lattice of A handed to the suite; the plants of the
+# tests above and four more
+_PLANTS = {
+    "certificates-verify": (6, _outside_3, lambda mp, ring, lat: _plant(
+        lat, lat.zero, lat.top, lat.ring_lattice.top)),
+    "totally-fg-quotient-images": (6, _outside_3, lambda mp, ring, lat: _plant_sum(lat)),
+    "finite-type": (6, _outside_3, _plant_ring_sum),
+    "closure-colon-witness": (6, _outside_3, _plant_up_mask),
+    "upper-closed-families-have-maximal": (6, trivial_filter, lambda mp, ring, lat: _plant(
+        lat, 0, 1, lat.ring_lattice.top)),
+    "unique-maximal": (6, trivial_filter, lambda mp, ring, lat: _plant(
+        lat, 1, 2, lat.ring_lattice.top)),
+    "totally-torsion-quotient-transfer": (6, _outside_3, lambda mp, ring, lat: _plant_sum(lat)),
+    "kaplansky-prime-criterion": (4, trivial_filter, _plant_zero_colon),
+    "kaplansky-noetherian-corollary": (4, trivial_filter, _plant_zero_colon),
+    "meet-decomposition": (6, _outside_3, _plant_spectrum),
+    "almost-jansian": (6, _outside_3, _plant_product),
+    "induced-filters": (6, _outside_3, _plant_preimage),
+}
+
+
+@pytest.mark.parametrize("name", noether._THEOREM_ORDER)
+def test_each_theorem_fails_on_its_planted_defect(monkeypatch, name):
+    # the plant goes into a fresh ring after its filter is built; the suite
+    # spec then runs on that ring and filter, and the theorem's failure is a
+    # counterexample with exit 1, never a traceback
+    from torsionlab import cli
+
+    assert _PLANTS.keys() == set(noether._THEOREM_ORDER)
+    n, make_filter, plant = _PLANTS[name]
+    ring = zmod(n)
+    sigma = make_filter(ring)
+    lat = SubmoduleLattice(free_module(ring, 1))
+    plant(monkeypatch, ring, lat)
+    monkeypatch.setattr(cli, "build_ring", lambda term, cap: ring)
+    monkeypatch.setattr(cli, "build_filter", lambda ring, spec: sigma)
+    real = noether.submodule_lattice
+    monkeypatch.setattr(
+        noether, "submodule_lattice",
+        lambda m: lat if m.ring is ring and m.rank == 1 else real(m),
+    )
+    report, code = cli.execute({"task": "suite", "ring": {"zmod": n}, "filter": "trivial"})
+    assert code == 1
+    theorems = report["results"]["reports"][0]["theorems"]
+    assert name in [t["name"] for t in theorems if not t["passed"]]
+
+
+def test_growing_power_fails_almost_jansian(monkeypatch):
+    # on a fresh Z/6, (3)*(3) planted as (1) makes the powers of (3) cycle
+    # (3), (1), (3), ...; the power iteration must raise instead of looping,
+    # and under the improper filter the suite reports almost-jansian failed;
+    # the alarm turns a hang into a failure
+    ring = zmod(6)
+    sigma = improper_filter(ring)
+    rl = ideal_lattice(ring)
+    three = rl.idx(ideal_of(ring, 3))
+    rl._prod[three, three] = rl.top
+
+    def hang(signum, frame):
+        raise TimeoutError("the powers of (3) did not stabilize")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        lat = SubmoduleLattice(free_module(ring, 1))
+        assert not _planted_suite(monkeypatch, ring, sigma, lat)["almost-jansian"]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- tables shared across the filters of a ring -------------------------------------------

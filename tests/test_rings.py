@@ -11,6 +11,7 @@ from torsionlab.errors import (
     NotPrime,
     RingMismatch,
     SizeCapExceeded,
+    TheoremViolation,
 )
 from torsionlab.filters import trivial_filter
 from torsionlab.modules import free_module
@@ -24,6 +25,7 @@ from torsionlab.rings import (
     enumerate_ideals,
     ideal_from_generators,
     ideal_intersect,
+    ideal_lattice,
     ideal_product,
     ideal_sum,
     identity_map,
@@ -389,3 +391,15 @@ def test_non_subobject_operand_is_invalid_argument():
             op(unit_ideal(ring), bad)
     with pytest.raises(InvalidArgument, match=r"^\[0, 1\] is not a submodule of Z/6$"):
         tfg_certificate(free_module(ring, 1), frozenset({0, 1}), trivial_filter(ring))
+
+
+def test_closure_under_a_non_filter_is_theorem_violation():
+    # Z/6 has the ideals 0, (3), (2), (1) at indices 0 to 3; the member set
+    # {(3)} is no filter, and the x with (0 : x) = (3) are 2 and 4, which
+    # miss 0: the closure of 0 is no ideal, an internal fault, not bad input
+    lat = ideal_lattice(zmod(6))
+    with pytest.raises(
+        TheoremViolation,
+        match=r"^closure of sub-object 0 is not an ideal of Z/6: the member indices \[1\] ",
+    ):
+        lat.closure(lat.zero, frozenset({1}))
