@@ -28,7 +28,6 @@ from .errors import (
 )
 from .modules import (
     FiniteModule,
-    element_annihilator,
     is_submodule,
     module_annihilator,
     submodule_lattice,
@@ -275,11 +274,8 @@ def _require_same_ring(module_or_ideal, sigma: GabrielFilter) -> None:
 
 
 def torsion_submodule(module: FiniteModule, sigma: GabrielFilter) -> frozenset:
-    """The largest torsion submodule: elements whose annihilator is in the filter."""
-    _require_same_ring(module, sigma)
-    return frozenset(
-        m for m in module.all_indices() if element_annihilator(module, m) in sigma.members
-    )
+    """The largest torsion submodule, {m : (0 : m) in the filter}: the closure of 0."""
+    return closure(module, frozenset({module.zero}), sigma)
 
 
 def closure(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) -> frozenset:

@@ -2,14 +2,14 @@
 
 A module element is a coset of V inside U, indexed by its minimal vector
 representative; index 0 is always the zero coset.  Submodules of a module
-are plain frozensets of element indices.  :class:`SubmoduleLattice` runs
-the lattice engine of :mod:`torsionlab.rings` on the module's addition and
-orbit rows, which gives every submodule a stable index plus memoized
-colon/sum arithmetic; that is what makes the exhaustive suites cheap.  A
-module builds each row from its coset arithmetic the first time the engine
-reads it, so memory and build time follow the rows a lattice touches, not
-the square of the carrier size.  Element-level code (``add_elem``,
-``scalar``, :func:`is_submodule`) builds no rows.
+are plain frozensets of element indices.  :func:`submodule_lattice` gives
+every submodule a stable index and memoized colon/sum arithmetic, which
+makes the exhaustive suites cheap.  For A = ``free_module(ring, 1)`` it is
+the ring's ideal lattice: A's submodules are its ideals, and its coset index
+is the element index.  Any other module gets a :class:`SubmoduleLattice` on
+its addition and orbit rows, each built from coset arithmetic on first
+read.  Element-level code (``add_elem``, ``scalar``, :func:`is_submodule`)
+builds no rows.
 """
 
 from __future__ import annotations
@@ -255,10 +255,12 @@ class SubmoduleLattice(SubobjectLattice):
             module.ring, module.size, module.add_rows, module.orbit_rows,
             ideal_lattice(module.ring), f"a submodule of {module.label}",
         )
-        self.submodules = self.sets
 
 
-def submodule_lattice(module: FiniteModule) -> SubmoduleLattice:
+def submodule_lattice(module: FiniteModule) -> SubobjectLattice:
+    """The submodule lattice, cached; for A = free_module(ring, 1), the ring's ideal lattice."""
+    if module is module.ring._cache.get(("free_module", 1)):
+        return ideal_lattice(module.ring)
     if "lattice" not in module._cache:
         module._cache["lattice"] = SubmoduleLattice(module)
     return module._cache["lattice"]

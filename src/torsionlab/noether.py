@@ -21,9 +21,9 @@ mismatch means an implementation bug and is reported.
 Each public predicate is a thin wrapper over an index-level core on
 (tables or lattice, index, filter member indices); the theorem suite calls
 the same cores, so it checks what the public functions return.  A
-ring-level check that raises TheoremViolation inside the suite is a failed
-instance of its theorem, with the violation as counterexample, not a
-traceback.
+TheoremViolation raised inside the suite is a failed instance of the
+theorem being checked, with the violation as counterexample, not a
+traceback; inside a carrier's checks it also skips the rest of them.
 
 The suite runs once per (ring, filter), but much of its work does not
 depend on the filter: the colons grouped by value along each colon-matrix
@@ -341,11 +341,7 @@ def _upper_closure(tables: _LatticeTables, family: Sequence[int], members: froze
 def is_upper_closed(
     module: FiniteModule, family: Sequence[frozenset], sigma: GabrielFilter
 ) -> bool:
-    _require_same_ring(module, sigma)
-    lat = submodule_lattice(module)
-    idxs = [lat.idx(s) for s in family]
-    found = _upper_closure(_lattice_tables(lat), idxs, sigma.member_indices())
-    return found == sum(1 << i for i in set(idxs))
+    return set(upper_closure(module, family, sigma)) == set(family)
 
 
 def unique_maximal_check(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) -> bool:
@@ -548,71 +544,76 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
     for module, lat in zip(carriers, lattices):
         where = module.label
         tables = _lattice_tables(lat)
-        cm = lat.colon_matrix()
-        # upper[n]: the upper closure of {N_n} as a bitmask, i.e. every H
-        # with (N_n : H) in the filter; upper_members[n] lists its bits, and
-        # its maximal elements serve two theorems below
-        upper = [_upper_closure(tables, (n,), members) for n in range(lat.n)]
-        upper_members = [tables.family_bits[fam] for fam in upper]
-        maxima = [tables.family_maxima[fam] for fam in upper]
-
-        # certificates exist canonically and re-verify; a certificate's h is
-        # a filter member, so its verdict is re-verified once per set of tables
+        # a TheoremViolation fails the theorem being checked, t, and skips the
+        # rest of this carrier; before the first check, t is certificates-verify
         t = tallies["certificates-verify"]
-        certificates = [_tfg_certificate(lat, s_idx, members) for s_idx in range(lat.n)]
-        for s_idx, cert in enumerate(certificates):
-            key = cert and (*cert, s_idx)
-            if key and key not in tables.verified:
-                tables.verified[key] = _reverify(module, lat, sigma, key)
-            ok, reason = tables.verified[key] if key else (False, "no certificate")
-            t.check(ok, "{}: S={}: {}", where, s_idx, reason)
+        try:
+            cm = lat.colon_matrix()
+            # upper[n]: the upper closure of {N_n} as a bitmask, i.e. every H
+            # with (N_n : H) in the filter; upper_members[n] lists its bits, and
+            # its maximal elements serve two theorems below
+            upper = [_upper_closure(tables, (n,), members) for n in range(lat.n)]
+            upper_members = [tables.family_bits[fam] for fam in upper]
+            maxima = [tables.family_maxima[fam] for fam in upper]
 
-        # images of certified submodules under quotient maps stay certified:
-        # ((H + N) : (S + N)) contains (H : S) for the certificate's H; over
-        # every N, the images are rows H and S of the sum matrix; an S without
-        # a certificate has failed above
-        t = tallies["totally-fg-quotient-images"]
-        sm = lat.sum_matrix()
-        member_mask = _mask(members)
-        first_bad = None  # the least failing (N, S)
-        for s_idx, cert in enumerate(certificates):
-            if cert is None:
-                continue
-            h_idx = cert[0]
-            if tables.quotient_images[h_idx, s_idx] & ~member_mask:
-                images = [cm[image_h][image_s] for image_h, image_s in zip(sm[h_idx], sm[s_idx])]
-                n_idx = next(n for n, c in enumerate(images) if c not in members)
-                if first_bad is None or n_idx < first_bad[0]:
-                    first_bad = (n_idx, s_idx)
-        t.check(
-            first_bad is None, "{}: N={}, S={}", where, *(first_bad or ()),
-            instances=lat.n * lat.n,
-        )
+            # certificates exist canonically and re-verify; a certificate's h is
+            # a filter member, so its verdict is re-verified once per set of tables
+            certificates = [_tfg_certificate(lat, s_idx, members) for s_idx in range(lat.n)]
+            for s_idx, cert in enumerate(certificates):
+                key = cert and (*cert, s_idx)
+                if key and key not in tables.verified:
+                    tables.verified[key] = _reverify(module, lat, sigma, key)
+                ok, reason = tables.verified[key] if key else (False, "no certificate")
+                t.check(ok, "{}: S={}: {}", where, s_idx, reason)
 
-        # closure-colon witness exists for every submodule
-        t = tallies["closure-colon-witness"]
-        witnesses = _colon_witnesses(tables, range(lat.n), members)
-        for s_idx, h_idx in enumerate(witnesses):
-            t.check(h_idx is not None, "{}: S={}", where, s_idx)
+            # images of certified submodules under quotient maps stay certified:
+            # ((H + N) : (S + N)) contains (H : S) for the certificate's H; over
+            # every N, the images are rows H and S of the sum matrix; an S without
+            # a certificate has failed above
+            t = tallies["totally-fg-quotient-images"]
+            sm = lat.sum_matrix()
+            member_mask = _mask(members)
+            first_bad = None  # the least failing (N, S)
+            for s_idx, cert in enumerate(certificates):
+                if cert is None:
+                    continue
+                h_idx = cert[0]
+                if tables.quotient_images[h_idx, s_idx] & ~member_mask:
+                    images = [cm[im_h][im_s] for im_h, im_s in zip(sm[h_idx], sm[s_idx])]
+                    n_idx = next(n for n, c in enumerate(images) if c not in members)
+                    if first_bad is None or n_idx < first_bad[0]:
+                        first_bad = (n_idx, s_idx)
+            t.check(
+                first_bad is None, "{}: N={}, S={}", where, *(first_bad or ()),
+                instances=lat.n * lat.n,
+            )
 
-        # upper closures of singletons are upper closed with maxima
-        t = tallies["upper-closed-families-have-maximal"]
-        for n_idx in range(lat.n):
-            # the upper closure of a family is the union of its members' ones
-            closed = not any(upper[h] & ~upper[n_idx] for h in upper_members[n_idx])
-            t.check(closed and bool(maxima[n_idx]), "{}: N={}", where, n_idx)
+            # closure-colon witness exists for every submodule
+            t = tallies["closure-colon-witness"]
+            witnesses = _colon_witnesses(tables, range(lat.n), members)
+            for s_idx, h_idx in enumerate(witnesses):
+                t.check(h_idx is not None, "{}: S={}", where, s_idx)
 
-        # unique maximal element iff the closure joins the upper closure
-        t = tallies["unique-maximal"]
-        for n_idx in range(lat.n):
-            ok = _unique_maximal(lat, n_idx, members, upper[n_idx], maxima[n_idx])
-            t.check(ok, "{}: N={}", where, n_idx)
+            # upper closures of singletons are upper closed with maxima
+            t = tallies["upper-closed-families-have-maximal"]
+            for n_idx in range(lat.n):
+                # the upper closure of a family is the union of its members' ones
+                closed = not any(upper[h] & ~upper[n_idx] for h in upper_members[n_idx])
+                t.check(closed and bool(maxima[n_idx]), "{}: N={}", where, n_idx)
 
-        # quotients by totally torsion submodules preserve stability data
-        t = tallies["totally-torsion-quotient-transfer"]
-        for t_idx in range(lat.n):
-            if cm[lat.zero][t_idx] in members:
-                t.check(tables.transfers[t_idx], "{}: T={}", where, t_idx)
+            # unique maximal element iff the closure joins the upper closure
+            t = tallies["unique-maximal"]
+            for n_idx in range(lat.n):
+                ok = _unique_maximal(lat, n_idx, members, upper[n_idx], maxima[n_idx])
+                t.check(ok, "{}: N={}", where, n_idx)
+
+            # quotients by totally torsion submodules preserve stability data
+            t = tallies["totally-torsion-quotient-transfer"]
+            for t_idx in range(lat.n):
+                if cm[lat.zero][t_idx] in members:
+                    t.check(tables.transfers[t_idx], "{}: T={}", where, t_idx)
+        except TheoremViolation as exc:
+            t.check(False, "{}", exc)
 
     # ring-level statements
     principal_idx = _principal_indices(rl)

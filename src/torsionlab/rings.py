@@ -22,10 +22,10 @@ operations, and a colon (N_i : x) is looked up by N_i & Ax in a memo per
 element x that every colon row shares.  Its own results are tables too:
 the colon matrix, whose row i and column j hold (N_i : N_j), and the
 up-sets as int bitmasks, from which sums, products and greedy generators
-are read.  :class:`IdealLattice` runs it on the
-ring's own addition and multiplication tables; :class:`torsionlab.modules.SubmoduleLattice`
-runs it on module rows, which the module builds from its coset arithmetic
-the first time the engine reads them.
+are read.  :class:`IdealLattice` runs it on the ring's own addition and
+multiplication tables, once per ring; it is also the lattice of A as a
+module over itself.  :class:`torsionlab.modules.SubmoduleLattice` runs it on
+the coset rows of any other module.
 """
 
 from __future__ import annotations
@@ -637,6 +637,7 @@ class SubobjectLattice:
         self._orbit = orbit
         self.ring_lattice = ring_lattice
         self.sets = tuple(sorted(self._enumerate(), key=lambda s: (len(s), tuple(sorted(s)))))
+        self.submodules = self.sets  # an ideal is a submodule of the ring over itself
         self.masks = tuple(map(_mask, self.sets))
         self.index = {s: i for i, s in enumerate(self.sets)}
         self.index_by_mask = {m: i for i, m in enumerate(self.masks)}
@@ -702,7 +703,8 @@ class SubobjectLattice:
 
     # -- order ---------------------------------------------------------------
 
-    def idx(self, s: frozenset) -> int:
+    def idx(self, s: frozenset | Ideal) -> int:
+        s = s.elements if isinstance(s, Ideal) else s  # an Ideal is read by its elements
         try:
             return self.index[s]
         except KeyError:
@@ -916,9 +918,6 @@ class IdealLattice(SubobjectLattice):
     def __init__(self, ring: FiniteRing):
         super().__init__(ring, ring.size, ring._add, ring._mul, self, f"an ideal of {ring.label}")
         self.ideals = tuple(Ideal(ring, s) for s in self.sets)
-
-    def idx(self, ideal: Ideal) -> int:
-        return super().idx(ideal.elements)
 
 
 def ideal_lattice(ring: FiniteRing) -> IdealLattice:

@@ -218,6 +218,64 @@ def test_main_partition_text(tmp_path, capsys):
     assert "K: (2)" in out and "Z: (3)" in out
 
 
+_Z12_UNDER_1_3_9 = {"ring": {"zmod": 12}, "filter": {"mult_set": [1, 3, 9]}}
+
+
+@pytest.mark.parametrize(
+    "command, doc, lines",
+    [
+        ("inspect", {"ring": {"zmod": 12}}, [
+            "ring: Z/12 (size 12)",
+            "ideals (6): (0), (6), (4), (3), (2), (1)",
+            "spectrum: (3), (2)",
+            "local factors: Z/12/(4) x Z/12/(3)",
+        ]),
+        ("partition", _Z12_UNDER_1_3_9, [
+            "ring: Z/12   filter: filter<(3)>", "K: (2)", "Z: (3)", "C: (2)",
+        ]),
+        ("closure", {**_Z12_UNDER_1_3_9, "params": {"ideal_gens": [4]}}, [
+            "ring: Z/12   filter: filter<(3)>",
+            "closure((4)) = (4)",
+            "closed: True   dense: False",
+        ]),
+        ("certify", {**_Z12_UNDER_1_3_9, "params": {"ideal_gens": [4]}}, [
+            "ring: Z/12   filter: filter<(3)>",
+            "certificate for (4): H = <>, h = (3)",
+            "verified: True",
+        ]),
+        ("suite", {"ring": {"zmod": 4}, "filter": "trivial"}, [
+            "all_passed: True",
+            "- Z/4 / filter<(1)>: pass",
+            "    [ok ] certificates-verify (18 instances)",
+            "    [ok ] induced-filters (2 instances)",
+        ]),
+        ("census", {"ring": {"zmod": 12}}, [
+            "ring: Z/12",
+            "gabriel_filters: 4",
+            "- basis (1): 1 members",
+            "- basis (0): 6 members",
+        ]),
+        ("monomial", {"params": {
+            "op": "decide", "mult_set": {"s": {"vars": {"1": 1}}},
+            "ideal": {"families": [{"base": {"vars": {}}, "start": 2}]},
+        }}, [
+            "op: decide",
+            "verdict: refuted",
+            "counterexamples:",
+        ]),
+    ],
+)
+def test_main_text_rendering(tmp_path, capsys, command, doc, lines):
+    # every subcommand through main with --format text: its kind-specific
+    # lines, then the elapsed time as the last line
+    assert main([command, "--spec", write_spec(tmp_path, doc), "--format", "text"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line not in out] == []
+    task = cli.TASK_BY_COMMAND[command]
+    assert out[0] == f"task: {task}  (tool {torsionlab.__version__})"
+    assert out[-1].startswith("elapsed: ") and out[-1].endswith(" ms")
+
+
 def test_main_task_mismatch(tmp_path, capsys):
     spec = write_spec(tmp_path, {"task": "census", "ring": {"zmod": 12}})
     assert main(["partition", "--spec", spec]) == 2

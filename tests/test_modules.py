@@ -9,6 +9,7 @@ import pytest
 from torsionlab.errors import InvalidArgument, NotASubmodule, RingMismatch, TheoremViolation
 from torsionlab.filters import closure, enumerate_gabriel_filters, lambda_filter
 from torsionlab.modules import (
+    FiniteModule,
     SubmoduleLattice,
     element_annihilator,
     free_module,
@@ -113,12 +114,12 @@ def test_element_arguments_are_range_checked(x):
 
 def test_lattice_rank_one_matches_ideals():
     # The rank-1 coset index is the element index, so the ideal lattice (ring
-    # tables) and the submodule lattice of A (coset arithmetic) must agree
-    # index for index on every operation of the shared engine.
+    # tables) and a submodule lattice of A built explicitly on coset rows
+    # must agree index for index on every operation of the shared engine.
     for term in ring_catalog(12):
         ring = build_ring(term)
         rl = ideal_lattice(ring)
-        lat = submodule_lattice(free_module(ring, 1))
+        lat = SubmoduleLattice(free_module(ring, 1))
         assert lat.ring_lattice is rl
         assert lat.submodules == rl.sets
         assert [i.elements for i in enumerate_ideals(ring)] == list(rl.sets)
@@ -151,6 +152,55 @@ def test_lattice_rank_one_matches_ideals():
                 by_scan = closure_by_scan(ring, rl.sets[i], member_sets)
                 assert rl.sets[rl.closure(i, members)] == by_scan
     assert submodule_lattice(free_module(zmod(12), 1)).n == 6
+
+
+def test_lattice_of_a_is_the_ideal_lattice():
+    # A over itself has its ideals as submodules, so its lattice is the
+    # ring's one ideal lattice; A^2 and a rank-1 module that is not the
+    # cached A keep lattices of their own
+    for term in ring_catalog(16):
+        ring = build_ring(term)
+        assert submodule_lattice(free_module(ring, 1)) is ideal_lattice(ring)
+        assert type(submodule_lattice(free_module(ring, 2))) is SubmoduleLattice
+    ring = zmod(6)
+    other = module_from_ideal(ideal_from_generators(ring, [1]))
+    assert type(submodule_lattice(other)) is SubmoduleLattice
+    assert submodule_lattice(other).sets == ideal_lattice(ring).sets
+
+
+def test_reports_build_one_coset_lattice_per_ring(monkeypatch):
+    # a sweep builds a coset-row lattice for A^2 only, one per ring, and a
+    # certificate on A builds none
+    from torsionlab import cli
+
+    built = []
+    init = SubmoduleLattice.__init__
+
+    def counted(self, module):
+        built.append(module.label)
+        init(self, module)
+
+    monkeypatch.setattr(SubmoduleLattice, "__init__", counted)
+    report, code = cli.execute({"task": "suite", "params": {"sweep_max_size": 10}})
+    assert code == 0 and len(built) == len(ring_catalog(10)) == 22
+    assert all(label.endswith("^2") for label in built)
+    built.clear()
+    _, code = cli.execute({
+        "task": "certify", "ring": {"zmod": 12}, "filter": {"mult_set": [1, 3, 9]},
+        "params": {"ideal_gens": [4]},
+    })
+    assert code == 0 and built == []
+
+
+def test_direct_construction_checks_its_carriers():
+    ring = zmod(4)
+    zero, two = frozenset({(0,)}), frozenset({(0,), (2,)})
+    with pytest.raises(NotASubmodule, match=r"^carrier is not a submodule of A\^1$"):
+        FiniteModule(ring, 1, frozenset({(0,), (1,)}), zero, "M")
+    everything = frozenset((x,) for x in range(4))
+    with pytest.raises(NotASubmodule, match=r"^relations are not contained in the carrier$"):
+        FiniteModule(ring, 1, two, everything, "M")
+    assert FiniteModule(ring, 1, two, zero, "M").size == 2
 
 
 def test_colon_matrix_matches_scan():

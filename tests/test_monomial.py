@@ -449,6 +449,19 @@ def test_cohen_scan_vacuous():
     assert report.verdict == "vacuous-pass"
 
 
+def test_cohen_scan_inconclusive():
+    # a K-prime the budget can neither certify nor refute leaves the scan
+    # inconclusive, with the prime's decision exhausted
+    report = cohen_scan(
+        PrincipalMultSet(mono(x1=1)),
+        [VariablePattern(finite=frozenset({2, 3, 4, 5, 6}))],
+        DecisionBudget(max_power=8, max_prefix=4),
+    )
+    assert report.verdict == "inconclusive"
+    assert [e.decision.verdict for e in report.entries] == ["exhausted"]
+    assert report.cross_check is None
+
+
 def test_almost_jansian_principal():
     assert almost_jansian_principal(PrincipalMultSet(Monomial.one())).holds
     got = almost_jansian_principal(PrincipalMultSet(mono(x1=1)))

@@ -682,6 +682,67 @@ def test_growing_power_fails_almost_jansian(monkeypatch):
         signal.signal(signal.SIGALRM, previous)
 
 
+def _flip_up_mask_bit(lat, i: int, j: int) -> None:
+    """Flip bit j of the up-set mask of sub-object i."""
+    lat.up_masks()[i] ^= 1 << j
+
+
+def test_carrier_violations_fail_a_theorem(monkeypatch):
+    # every single up-mask bit flip on a private lattice of A = Z/6 or Z/4,
+    # under every filter: 82 runs; a TheoremViolation the flip raises in the
+    # carrier checks fails a theorem instead of leaving theorem_suite (62
+    # runs escaped before); the alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("a planted suite did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(30)
+    failed = passed = 0
+    try:
+        for n in (6, 4):
+            ring = zmod(n)
+            for sigma in enumerate_gabriel_filters(ring):
+                size = ideal_lattice(ring).n
+                for i in range(size):
+                    for j in range(size):
+                        lat = SubmoduleLattice(free_module(ring, 1))
+                        _flip_up_mask_bit(lat, i, j)
+                        flags = _planted_suite(monkeypatch, ring, sigma, lat)
+                        failed += not all(flags.values())
+                        passed += all(flags.values())
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (failed, passed) == (80, 2)
+
+
+def test_carrier_violation_exits_1(monkeypatch):
+    # Z/6 under filter<(0)>, bit 1 flipped in the up-mask of 0 on a private
+    # lattice of A: the greedy generators stall while the certificates of A
+    # are sought, which fails certificates-verify with exit 1
+    from torsionlab import cli
+
+    ring = zmod(6)
+    sigma = improper_filter(ring)
+    assert sigma.label == "filter<(0)>"
+    lat = SubmoduleLattice(free_module(ring, 1))
+    _flip_up_mask_bit(lat, lat.zero, 1)
+    monkeypatch.setattr(cli, "build_ring", lambda term, cap: ring)
+    monkeypatch.setattr(cli, "build_filter", lambda ring, spec: sigma)
+    real = noether.submodule_lattice
+    monkeypatch.setattr(
+        noether, "submodule_lattice",
+        lambda m: lat if m.ring is ring and m.rank == 1 else real(m),
+    )
+    report, code = cli.execute({"task": "suite", "ring": {"zmod": 6}, "filter": "trivial"})
+    assert code == 1
+    failed = [t for t in report["results"]["reports"][0]["theorems"] if not t["passed"]]
+    assert [t["name"] for t in failed] == ["certificates-verify"]
+    assert failed[0]["counterexample"] == (
+        "greedy generators of a submodule of Z/6 stall: sub-object 3 does not grow toward 1"
+    )
+
+
 # -- tables shared across the filters of a ring -------------------------------------------
 
 

@@ -389,8 +389,11 @@ def test_non_subobject_operand_is_invalid_argument():
             op(bad, unit_ideal(ring))
         with pytest.raises(InvalidArgument, match=r"^\[1\] is not an ideal of Z/6$"):
             op(unit_ideal(ring), bad)
-    with pytest.raises(InvalidArgument, match=r"^\[0, 1\] is not a submodule of Z/6$"):
+    # A over itself reads the ring's ideal lattice, so its operands are ideals
+    with pytest.raises(InvalidArgument, match=r"^\[0, 1\] is not an ideal of Z/6$"):
         tfg_certificate(free_module(ring, 1), frozenset({0, 1}), trivial_filter(ring))
+    with pytest.raises(InvalidArgument, match=r"^\[0, 1\] is not a submodule of Z/6\^2$"):
+        tfg_certificate(free_module(ring, 2), frozenset({0, 1}), trivial_filter(ring))
 
 
 def test_closure_under_a_non_filter_is_theorem_violation():
