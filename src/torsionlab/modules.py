@@ -7,15 +7,18 @@ every submodule a stable index and memoized colon/sum arithmetic, which
 makes the exhaustive suites cheap.  For A = ``free_module(ring, 1)`` it is
 the ring's ideal lattice: A's submodules are its ideals, and its coset index
 is the element index.  Any other module gets a :class:`SubmoduleLattice` on
-its addition and orbit rows, each built from coset arithmetic on first
-read.  Element-level code (``add_elem``, ``scalar``, :func:`is_submodule`)
-builds no rows.
+its addition and orbit rows, each built on first read from the ring's
+tables: an addition row adds the representatives coordinate by coordinate
+on rows of ``ring._add`` and looks each sum up by its integer code, an
+orbit row zips rows of ``ring._mul``.  Element-level code (``add_elem``,
+``scalar``, :func:`is_submodule`) maps over single ring rows per vector
+and builds no module rows.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from operator import getitem
+from operator import add, getitem, mul
 from typing import Iterable
 
 from .errors import NotASubmodule, RingMismatch, SizeCapExceeded
@@ -39,7 +42,11 @@ class FiniteModule:
 
     ``add_rows[w][x]`` is the index of x + w and ``orbit_rows[x][a]`` the
     index of a*x; both are the lattice engine's tables, built row by row on
-    first read.
+    first read.  Row w of ``add_rows`` reads, per coordinate, the ring's
+    addition row of w's entry at the representatives' entries, and sums
+    them into the base-|A| code of each x + w; one lookup in ``_code_of``
+    (code to coset index, built with the first row) gives the coset.  No
+    vector is built or hashed.
     """
 
     def __init__(
@@ -79,10 +86,22 @@ class FiniteModule:
         self.zero = 0
         self._cache: dict = {}
         ring_add, ring_mul = ring._add, ring._mul
+        # a vector's code is its base-|A| number, first coordinate most
+        # significant; code_of and the representatives' coordinate columns
+        # are built with the first addition row
+        weights = [ring.size**i for i in reversed(range(rank))]
+        self._code_of = code_of = {}
+        columns: list[tuple] = []
 
         def add_row(w: int) -> list[int]:
-            cols = [ring_add[c] for c in reps[w]]
-            return [coset_of[tuple(map(getitem, cols, rep))] for rep in reps]
+            if not code_of:
+                code_of.update((sum(map(mul, v, weights)), i) for v, i in coset_of.items())
+                columns.extend(zip(*reps))
+            codes = repeat(0, len(reps))
+            for c, col, weight in zip(reps[w], columns, weights):
+                row = ring_add[c] if weight == 1 else [x * weight for x in ring_add[c]]
+                codes = map(add, codes, map(row.__getitem__, col))
+            return list(map(code_of.__getitem__, codes))
 
         def orbit_row(x: int) -> list[int]:
             # ring_mul[c][a] is a*c, so the columns zip into the vectors a*x;
@@ -145,11 +164,11 @@ class FiniteModule:
 
 
 def _vec_add(ring: FiniteRing, a: Vector, b: Vector) -> Vector:
-    return tuple(ring.add(x, y) for x, y in zip(a, b))
+    return tuple(map(getitem, map(ring._add.__getitem__, a), b))
 
 
 def _vec_scale(ring: FiniteRing, r: int, a: Vector) -> Vector:
-    return tuple(ring.mul(r, x) for x in a)
+    return tuple(map(ring._mul[r].__getitem__, a))
 
 
 def _is_submodule_of_free(ring: FiniteRing, rank: int, carrier: frozenset) -> bool:

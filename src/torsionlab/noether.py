@@ -28,9 +28,10 @@ traceback; inside a carrier's checks it also skips the rest of them.
 The suite runs once per (ring, filter), but much of its work does not
 depend on the filter: the colons grouped by value along each colon-matrix
 row, the maximal members of each upper-closure mask, the colons occurring
-in each colon row, the image colons of each certificate pair under every
-quotient map, the quotient-transfer verdict of each T, and the
-element-level re-verification of each certificate.
+in each colon row, the certificate candidates (H, (H : N)) of each N,
+ranked once by the canonical order, the image colons of each certificate
+pair under every quotient map, the quotient-transfer verdict of each T,
+and the element-level re-verification of each certificate.
 ``_LatticeTables`` holds these for one lattice, each entry built on its
 first read, and the filter-dependent part of every check is a membership
 test against them.  Suite and public predicates alike get their tables
@@ -49,6 +50,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product, starmap
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -117,9 +119,28 @@ class _LatticeTables:
         self.passing = _Rows(self._passing)
         # transfers[T]: the quotient-transfer verdict of T, as in _transfers
         self.transfers = _Rows(self._transfers)
+        # candidates[n]: every (H, (H : N_n)) with H <= N_n, canonical first
+        self.candidates = _Rows(self._candidates)
         # verified[(H, h, S)]: the re-verification of the certificate (H, h)
         # of N_S, for an h in the filter
         self.verified: dict[tuple[int, int, int], tuple[bool, str | None]] = {}
+
+    def _candidates(self, n_idx: int) -> list[tuple[int, int]]:
+        """The pairs (H, (H : N)) for H <= N = N_n, sorted by fewest
+        generators of H, then largest colon, then colon index, generators
+        and H; ring-lattice indices follow Ideal.sort_key, so equal-size
+        colons compare as the ideals do."""
+        lat = self.lat
+        cm, up, colons = lat.colon_matrix(), lat.up_masks(), lat.ring_lattice.sets
+        keys = []
+        # a sub-object inside N_n has an index no larger than n
+        for h_idx in range(n_idx + 1):
+            if up[h_idx] >> n_idx & 1:
+                colon_idx = cm[h_idx][n_idx]
+                gens = lat.min_gens(h_idx)
+                keys.append((len(gens), -len(colons[colon_idx]), colon_idx, gens, h_idx))
+        keys.sort()
+        return [(key[-1], key[2]) for key in keys]
 
     def _colon_groups(self, n_idx: int) -> tuple[tuple[int, int], ...]:
         groups: dict[int, int] = {}
@@ -195,32 +216,19 @@ def tfg_certificate(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) 
     """
     _require_same_ring(module, sigma)
     lat = submodule_lattice(module)
-    found = _tfg_certificate(lat, lat.idx(sub), sigma.member_indices())
+    found = _tfg_certificate(_lattice_tables(lat), lat.idx(sub), sigma.member_indices())
     if found is None:  # finite carrier: H = N with h = (1) always qualifies
         raise TheoremViolation(f"no certificate for submodule {lat.idx(sub)} of {module.label}")
     h_idx, colon_idx = found
     return Certificate("totally_fg", lat.min_gens(h_idx), lat.ring_lattice.ideals[colon_idx])
 
 
-def _tfg_certificate(lat, n_idx: int, members: frozenset) -> tuple[int, int] | None:
-    """(H, (H : N)) as indices for the canonical certificate of N_n, or None
-    when no colon (H : N) lies in the filter."""
-    cm = lat.colon_matrix()
-    up = lat.up_masks()
-    best_key = None
-    # a sub-object inside N_n has an index no larger than n
-    for h_idx in range(n_idx + 1):
-        if not up[h_idx] >> n_idx & 1:
-            continue
-        colon_idx = cm[h_idx][n_idx]
-        if colon_idx not in members:
-            continue
-        gens = lat.min_gens(h_idx)
-        # ring-lattice indices follow Ideal.sort_key: equal-size colons compare as h does
-        key = (len(gens), -len(lat.ring_lattice.sets[colon_idx]), colon_idx, gens, h_idx)
-        if best_key is None or key < best_key:
-            best_key = key
-    return None if best_key is None else (best_key[-1], best_key[2])
+def _tfg_certificate(
+    tables: _LatticeTables, n_idx: int, members: frozenset
+) -> tuple[int, int] | None:
+    """(H, (H : N)) as indices for the canonical certificate of N_n: the
+    first candidate whose colon lies in the filter, or None."""
+    return next((pair for pair in tables.candidates[n_idx] if pair[1] in members), None)
 
 
 def verify_certificate(
@@ -521,7 +529,7 @@ def _reverify(
     ok = (
         cert.filter_ideal in sigma.members
         and h_span <= sub
-        and all(module.scalar(g, n) in h_span for n in sub for g in h_gens)
+        and h_span.issuperset(starmap(module.scalar, product(h_gens, sub)))
     )
     return ok, None if ok else "generator containment failed"
 
@@ -558,7 +566,7 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
 
             # certificates exist canonically and re-verify; a certificate's h is
             # a filter member, so its verdict is re-verified once per set of tables
-            certificates = [_tfg_certificate(lat, s_idx, members) for s_idx in range(lat.n)]
+            certificates = [_tfg_certificate(tables, s_idx, members) for s_idx in range(lat.n)]
             for s_idx, cert in enumerate(certificates):
                 key = cert and (*cert, s_idx)
                 if key and key not in tables.verified:

@@ -250,6 +250,27 @@ def canonical_certificates_by_scan(
     return out
 
 
+def certificate_by_index_scan(lat, n_idx: int, members) -> tuple[int, int] | None:
+    """(H, (H : N)) for the canonical certificate of N_n, or None, by one
+    scan of every H <= N_n under the filter given by its member indices:
+    the least (generator count, -|colon|, colon, generators, H) among the H
+    whose colon is a member."""
+    cm = lat.colon_matrix()
+    up = lat.up_masks()
+    best_key = None
+    for h_idx in range(n_idx + 1):
+        if not up[h_idx] >> n_idx & 1:
+            continue
+        colon_idx = cm[h_idx][n_idx]
+        if colon_idx not in members:
+            continue
+        gens = lat.min_gens(h_idx)
+        key = (len(gens), -len(lat.ring_lattice.sets[colon_idx]), colon_idx, gens, h_idx)
+        if best_key is None or key < best_key:
+            best_key = key
+    return None if best_key is None else (best_key[-1], best_key[2])
+
+
 def sigma_principal_by_scan(ring, ideal: frozenset, members: set) -> tuple:
     """(witness, certificate) as sigma_principal_status reports them, by scans.
 

@@ -339,31 +339,49 @@ def test_min_gens_count_is_nakayama_rank(rank):
 
 def test_rows_match_element_arithmetic():
     # The lattice engine reads addition rows add[w][x] (x + w) and orbit rows
-    # orbit[x][a] (a*x); every entry must equal the element-level arithmetic.
+    # orbit[x][a] (a*x); every entry must equal the coset of the sum or
+    # multiple of the representatives, taken coordinate by coordinate with
+    # the ring's own add and mul.
     for term in ring_catalog(8):
         ring = build_ring(term)
         rl = ideal_lattice(ring)
         assert rl._add is ring._add and rl._orbit is ring._mul
-        a2 = free_module(ring, 2)
+        a1, a2 = free_module(ring, 1), free_module(ring, 2)
         lat = submodule_lattice(a2)
         assert lat._add is a2.add_rows and lat._orbit is a2.orbit_rows
         mid = lat.submodules[lat.n // 2]
         assert 0 < lat.n // 2 < lat.top
         quo, sub = a2.quotient_module(mid), a2.submodule_module(mid)
-        for m in (free_module(ring, 0), free_module(ring, 1), a2, quo, sub):
+        modules = [free_module(ring, 0), a1, a2, quo, sub, a1.direct_sum(quo)]
+        proper = [i for i in enumerate_ideals(ring) if 1 < len(i.elements) < ring.size]
+        if proper:
+            modules.append(module_from_ideal(proper[0]))
+        for m in modules:
             for w in range(m.size):
-                assert m.add_rows[w] == [m.add_elem(x, w) for x in range(m.size)]
+                expected = [
+                    m._coset_of[tuple(map(ring.add, m.reps[x], m.reps[w]))]
+                    for x in range(m.size)
+                ]
+                assert m.add_rows[w] == expected, (m.label, w)
             for x in range(m.size):
-                assert m.orbit_rows[x] == [m.scalar(a, x) for a in range(ring.size)]
+                expected = [
+                    m._coset_of[tuple(ring.mul(a, c) for c in m.reps[x])]
+                    for a in range(ring.size)
+                ]
+                assert m.orbit_rows[x] == expected, (m.label, x)
 
 
 def test_element_level_code_builds_no_rows():
     ring = build_ring({"zmod": 8})
     m = free_module(ring, 2)
-    for sub in (frozenset({0}), frozenset(range(m.size))):
-        assert is_submodule(m, sub)
-        closure(m, sub, lambda_filter(ring))
-    assert not m.add_rows and not m.orbit_rows
+    quo = m.quotient_module(frozenset({0, m.scalar(4, 1)}))
+    for module in (m, quo):
+        for sub in (frozenset({0}), frozenset(range(module.size))):
+            assert is_submodule(module, sub)
+            closure(module, sub, lambda_filter(ring))
+        module.add_elem(1, 2), module.scalar(3, 1)
+        assert not module.add_rows and not module.orbit_rows
+        assert not module._code_of
 
 
 @pytest.mark.parametrize("rank", [1, 2])

@@ -46,7 +46,11 @@ from torsionlab.rings import (
     zmod,
 )
 
-from .helpers import canonical_certificates_by_scan, sigma_principal_by_scan
+from .helpers import (
+    canonical_certificates_by_scan,
+    certificate_by_index_scan,
+    sigma_principal_by_scan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -558,6 +562,27 @@ def test_many_t_transfer_matches_single_t_check(monkeypatch):
     assert single == [True, False]
     tables = noether._LatticeTables(lat)
     assert [tables.transfers[t] for t in torsion] == single
+
+
+def test_ranked_candidates_match_index_scan():
+    """The first candidate of the ranked table whose colon is a member is
+    the canonical certificate that one scan of every H <= N picks: for every
+    sub-object of A and A^2 of the catalog rings up to size 10 under every
+    Gabriel filter, on one set of tables shared by a ring's filters, as a
+    sweep reads them, and on fresh tables per call."""
+    for term in ring_catalog(10):
+        ring = build_ring(term)
+        filters = [sigma.member_indices() for sigma in enumerate_gabriel_filters(ring)]
+        for rank in (1, 2):
+            lat = submodule_lattice(free_module(ring, rank))
+            shared = noether._LatticeTables(lat)
+            for members in filters:
+                for n_idx in range(lat.n):
+                    expected = certificate_by_index_scan(lat, n_idx, members)
+                    assert expected is not None
+                    assert noether._tfg_certificate(shared, n_idx, members) == expected
+                    fresh = noether._LatticeTables(lat)
+                    assert noether._tfg_certificate(fresh, n_idx, members) == expected
 
 
 # -- one planted defect per theorem ----------------------------------------------
