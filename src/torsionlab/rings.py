@@ -17,7 +17,7 @@ of a ring or the submodules of a module and memoizes their arithmetic
 (sums, products, colons, order) and computes closures from it.  It
 reads two tables of the carrier, addition rows and orbit rows, and never
 calls element arithmetic.  Each sub-object also gets an int mask over the
-carrier, bit x set iff x is in it, so order tests and meets are mask
+carrier, bit x set iff x is in it, so meets and the up-sets are mask
 operations, and a colon (N_i : x) is looked up by N_i & Ax in a memo per
 element x that every colon row shares.  Its own results are tables too:
 the colon matrix, whose row i and column j hold (N_i : N_j), and the
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import and_
+from operator import and_, itemgetter
 from typing import Collection, Iterable, Sequence
 
 from .errors import (
@@ -495,14 +495,16 @@ class RingMap:
         )
 
     def is_surjective_hom(self) -> bool:
+        """Whether the mapping is a unital ring map onto the target: row a of
+        each source table, mapped by f, is row f(a) of the target's table
+        read at f(0), ..., f(n-1)."""
         src, tgt, f = self.source, self.target, self.mapping
         if f[src.one] != tgt.one:
             return False
-        for a in range(src.size):
-            for b in range(src.size):
-                if f[src.add(a, b)] != tgt.add(f[a], f[b]):
-                    return False
-                if f[src.mul(a, b)] != tgt.mul(f[a], f[b]):
+        read_at_f = itemgetter(*f)
+        for src_table, tgt_table in ((src._add, tgt._add), (src._mul, tgt._mul)):
+            for row, fa in zip(src_table, f):
+                if itemgetter(*row)(f) != read_at_f(tgt_table[fa]):
                     return False
         return len(set(f)) == tgt.size
 
@@ -620,11 +622,11 @@ class SubobjectLattice:
     is ``sum(i, j)``, and bit j of ``up_masks()[i]`` is ``leq(i, j)``.
 
     ``masks[i]`` has bit x set iff x is in N_i, and ``index_by_mask`` maps
-    it back to i, as ``index`` maps the element set.  N_i <= N_j is
-    ``masks[i] & ~masks[j] == 0`` and the meet is one lookup of
-    ``masks[i] & masks[j]``.  A sum, a product and the next greedy
-    generator's span are joins, each the lowest common bit of two up-set
-    masks.
+    it back to i, as ``index`` maps the element set.  The meet is one
+    lookup of ``masks[i] & masks[j]``; ``leq`` tests the element sets,
+    which is faster than the mask test for one pair.  A sum, a product
+    and the next greedy generator's span are joins, each the lowest common
+    bit of two up-set masks.
     """
 
     def __init__(
@@ -685,20 +687,32 @@ class SubobjectLattice:
         return subs
 
     def _join_closure(self, scope: Iterable[int]) -> set[frozenset]:
-        """Every sub-object generated inside scope: all joins of its cyclic ones."""
+        """Every sub-object generated inside scope: all joins of its cyclic ones.
+
+        Each sub-object U found is summed with every cyclic C it does not
+        contain, unless a sum V already formed from U contains C and has
+        |V|·|U ∩ C| = |U|·|C|: U + C lies in V, and for subgroups
+        |U + C| = |U|·|C| / |U ∩ C|, so U + C is V and is not formed again.
+        """
         cyclics = list(dict.fromkeys(frozenset(self._orbit[x]) for x in sorted(scope)))
         zero = frozenset({0})
         found = {zero}
         work = [zero]
         while work:
             u = work.pop()
+            sums: list[frozenset] = []
             for c in cyclics:
                 if c <= u:
                     continue
-                v = _subgroup_sum(self._add, u, c)
-                if v not in found:
-                    found.add(v)
-                    work.append(v)
+                for v in sums:
+                    if c <= v and len(v) * len(u & c) == len(u) * len(c):
+                        break  # U + C is V
+                else:
+                    v = _subgroup_sum(self._add, u, c)
+                    sums.append(v)
+                    if v not in found:
+                        found.add(v)
+                        work.append(v)
         return found
 
     # -- order ---------------------------------------------------------------
@@ -711,7 +725,7 @@ class SubobjectLattice:
             raise InvalidArgument(f"{sorted(s)} is not {self.kind}") from None
 
     def leq(self, i: int, j: int) -> bool:
-        return not self.masks[i] & ~self.masks[j]
+        return self.sets[i] <= self.sets[j]
 
     def upset(self, i: int) -> tuple[int, ...]:
         """Indices of the sub-objects containing N_i, ascending; i comes first."""

@@ -11,7 +11,15 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from torsionlab.filters import gabriel_check
-from torsionlab.rings import FiniteRing, Ideal, _digits, _poly_label, enumerate_ideals
+from torsionlab.rings import (
+    FiniteRing,
+    Ideal,
+    RingMap,
+    _digits,
+    _poly_label,
+    _subgroup_sum,
+    enumerate_ideals,
+)
 
 
 def ideal_by_linear_combinations(ring: FiniteRing, gens: list[int]) -> frozenset:
@@ -25,6 +33,41 @@ def ideal_by_linear_combinations(ring: FiniteRing, gens: list[int]) -> frozenset
             acc = ring.add(acc, ring.mul(r, g))
         out.add(acc)
     return frozenset(out)
+
+
+def join_closure_unpruned(lat, scope) -> set[frozenset]:
+    """Every sub-object of the lattice's carrier generated inside scope: each
+    one found is summed with every cyclic sub-object it does not contain,
+    until no sum is new.  No sum is skipped."""
+    cyclics = list(dict.fromkeys(frozenset(lat._orbit[x]) for x in sorted(scope)))
+    zero = frozenset({0})
+    found = {zero}
+    work = [zero]
+    while work:
+        u = work.pop()
+        for c in cyclics:
+            if c <= u:
+                continue
+            v = _subgroup_sum(lat._add, u, c)
+            if v not in found:
+                found.add(v)
+                work.append(v)
+    return found
+
+
+def is_surjective_hom_by_entries(ring_map: RingMap) -> bool:
+    """Unital, additive and multiplicative on every pair (a, b), one add and
+    one mul call per side, and onto the target."""
+    src, tgt, f = ring_map.source, ring_map.target, ring_map.mapping
+    if f[src.one] != tgt.one:
+        return False
+    for a in range(src.size):
+        for b in range(src.size):
+            if f[src.add(a, b)] != tgt.add(f[a], f[b]):
+                return False
+            if f[src.mul(a, b)] != tgt.mul(f[a], f[b]):
+                return False
+    return len(set(f)) == tgt.size
 
 
 def is_ideal_scan(ring: FiniteRing, elems: frozenset) -> bool:

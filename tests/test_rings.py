@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from torsionlab import rings
 from torsionlab.errors import (
     InvalidArgument,
     InvalidModulus,
@@ -14,10 +15,12 @@ from torsionlab.errors import (
     TheoremViolation,
 )
 from torsionlab.filters import trivial_filter
-from torsionlab.modules import free_module
+from torsionlab.modules import free_module, submodule_lattice
 from torsionlab.noether import tfg_certificate
 from torsionlab.rings import (
     Ideal,
+    RingMap,
+    SubobjectLattice,
     annihilator,
     build_ring,
     colon,
@@ -50,6 +53,8 @@ from .helpers import (
     all_ideals_by_subset_scan,
     colon_by_scan,
     ideal_by_linear_combinations,
+    is_surjective_hom_by_entries,
+    join_closure_unpruned,
     primes_by_zero_divisor_scan,
     quotient_by_entries,
     ring_by_entries,
@@ -296,6 +301,21 @@ def test_local_decomposition_z12(z12):
     assert total == z12.size
 
 
+def test_surjective_hom_rows_match_entrywise_check():
+    for term in ring_catalog(12):
+        ring = build_ring(term)
+        for ring_map in [identity_map(ring)] + [proj for _, proj in local_decomposition(ring)]:
+            assert ring_map.is_surjective_hom() is is_surjective_hom_by_entries(ring_map) is True
+    # one wrong entry: Z/12 -> Z/4 sending 5 to 2 instead of 1
+    _, proj = local_decomposition(zmod(12))[0]
+    wrong = RingMap(proj.source, proj.target, proj.mapping[:5] + (2,) + proj.mapping[6:])
+    assert wrong.is_surjective_hom() is is_surjective_hom_by_entries(wrong) is False
+    # the diagonal Z/2 -> Z/2 x Z/2, a -> (a, a), is a ring map but not onto
+    z2 = zmod(2)
+    diagonal = RingMap(z2, product_ring(z2, z2), (0, 3))
+    assert diagonal.is_surjective_hom() is is_surjective_hom_by_entries(diagonal) is False
+
+
 def test_local_decomposition_already_local():
     z8 = zmod(8)
     factors = local_decomposition(z8)
@@ -327,6 +347,46 @@ def test_localize_at_prime(z12):
 
 
 # -- lattice closure invariants ----------------------------------------------
+
+
+def test_enumeration_matches_unpruned_join_closure():
+    # the engine splits by idempotents and skips sums it already formed; the
+    # oracle sums every sub-object found with every cyclic one, on the whole
+    # carrier
+    lattices = [
+        submodule_lattice(free_module(build_ring(term), rank))
+        for term in ring_catalog(16) for rank in (1, 2)
+    ]
+    lattices.append(ideal_lattice(square_zero(2, 6)))
+    for lat in lattices:
+        unpruned = join_closure_unpruned(lat, range(lat.size))
+        assert len(lat.sets) == len(unpruned) and set(lat.sets) == unpruned
+
+
+def test_join_closure_skips_known_sums(monkeypatch):
+    # sums formed inside _join_closure while A and A^2 of ring_catalog(10)
+    # are built: 4,871 without the skip, 1,577 with it
+    calls = [0]
+    inside = [False]
+    subgroup_sum, join_closure = rings._subgroup_sum, SubobjectLattice._join_closure
+
+    def counted_sum(*args):
+        calls[0] += inside[0]
+        return subgroup_sum(*args)
+
+    def counted_closure(self, scope):
+        inside[0] = True
+        try:
+            return join_closure(self, scope)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(rings, "_subgroup_sum", counted_sum)
+    monkeypatch.setattr(SubobjectLattice, "_join_closure", counted_closure)
+    for ring in map(build_ring, ring_catalog(10)):
+        for rank in (1, 2):
+            submodule_lattice(free_module(ring, rank))
+    assert 0 < calls[0] <= 1638
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 12])
