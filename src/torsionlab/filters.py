@@ -354,10 +354,12 @@ def spec_partition(sigma: GabrielFilter) -> SpecPartition:
             continue
         cl = lat.closure(lat.idx(p), members)
         if lat.sets[cl] != p.elements:
-            m = min(lat.sets[cl] - p.elements)
+            # the closure holds p on a sound lattice; a broken one may miss part of p
+            m = min(lat.sets[cl] ^ p.elements)
             raise TheoremViolation(
-                f"prime {p.label} outside the filter but {ring.label}/{p.label}"
-                f" is not torsionfree (witness {ring.elem_label(m)})"
+                f"prime {p.label} outside the filter but its closure differs from it,"
+                f" so {ring.label}/{p.label} is not torsionfree"
+                f" (witness {ring.elem_label(m)})"
             )
         k_side.append(p)
     c_side = [lat.ideals[i] for i in lat.maximal([lat.idx(p) for p in k_side])]

@@ -6,15 +6,19 @@ that N*h <= H.  On finite carriers every submodule has one (H = N with
 h = (1)), so "totally noetherian" never fails here, and a statement that
 only compares it with itself cannot fail either: the direct-sum, chain,
 maximal-condition, Cohen and local-property statements are left out for
-that reason.  The interesting work is finding canonical certificates
+that reason, as is the statement that the filter is of finite type.  The
+suite does not run closure_colon_witness either: the least member b of a
+filter witnesses closure(N) = (N : b) unless the ring lattice is wrong,
+and every planted defect that made that check fail fails another theorem
+too.  The interesting work is finding canonical certificates
 deterministically and checking, over every submodule of the carriers A
 and A^2, what can fail: certificates re-verify and survive quotient maps,
-closures have colon witnesses, upper closures are closed, have maximal
-elements and have one exactly when they hold the closure, and every pair
-N <= M has h <= h_bar and h_bar*ann(T) <= h, for h = (N : M) and
-h_bar = (N + T : M + T), so stability data passes through M -> M/T under
-every filter holding ann(T); then, on the ring, the Kaplansky criteria,
-the meet decomposition, jansian structure and induced filters.
+upper closures are closed, have maximal elements and have one exactly
+when they hold the closure, and every pair N <= M has h <= h_bar and
+h_bar*ann(T) <= h, for h = (N : M) and h_bar = (N + T : M + T), so
+stability data passes through M -> M/T under every filter holding
+ann(T); then, on the ring, the Kaplansky criteria, the meet
+decomposition, jansian structure and induced filters.
 Both sides of every biconditional are computed from the definitions; a
 mismatch means an implementation bug and is reported.
 
@@ -27,11 +31,11 @@ traceback; inside a carrier's checks it also skips the rest of them.
 
 The suite runs once per (ring, filter), but much of its work does not
 depend on the filter: the colons grouped by value along each colon-matrix
-row, the maximal members of each upper-closure mask, the colons occurring
-in each colon row, the certificate candidates (H, (H : N)) of each N,
-ranked once by the canonical order, the image colons of each certificate
-pair under every quotient map, the quotient-transfer verdict of each T,
-and the element-level re-verification of each certificate.
+row, the maximal members of each upper-closure mask, the certificate
+candidates (H, (H : N)) of each N, ranked once by the canonical order,
+the image colons of each certificate pair under every quotient map, the
+quotient-transfer verdict of each T, and the element-level
+re-verification of each certificate.
 ``_LatticeTables`` holds these for one lattice, each entry built on its
 first read, and the filter-dependent part of every check is a membership
 test against them.  Suite and public predicates alike get their tables
@@ -111,8 +115,6 @@ class _LatticeTables:
         # given as a mask, and its maximal members
         self.family_bits = _Rows(_bits)
         self.family_maxima = _Rows(lambda fam: lat.maximal(self.family_bits[fam]))
-        # occurring[n]: the colons (N_n : x) over the carrier, as a mask
-        self.occurring = _Rows(lambda n: _mask(set(lat.colon_row(n))))
         # quotient_images[(H, S)]: the colons ((H + N) : (S + N)) over every N
         self.quotient_images = _Rows(self._quotient_images)
         # passing[ann][h]: the h_bar with h <= h_bar and h_bar*ann <= h, as a mask
@@ -283,6 +285,10 @@ def closure_colon_witness(
 
     Searched from the coarsest member down; on finite carriers the witness
     always exists, so coming up empty raises with a full dump.
+
+    (H : h) = {m : h <= (H : m)} and the closure is {m : (H : m) in the
+    filter}, so h qualifies iff, on the colons (H : m) that occur, being
+    above h is being in the filter.
     """
     _require_same_ring(module, sigma)
     lat = submodule_lattice(module)
@@ -290,42 +296,20 @@ def closure_colon_witness(
         raise NotASubmodule("witness search input is not a submodule")
     members = sigma.member_indices()
     n_idx = lat.index[sub]
-    h_idx, = _colon_witnesses(_lattice_tables(lat), (n_idx,), members)
+    rl = lat.ring_lattice
+    up = rl.up_masks()
+    occurring = _mask(set(lat.colon_row(n_idx)))
+    occurring_members = occurring & _mask(members)
+    # ring-lattice indices follow Ideal.sort_key, so ties go to the smaller index
+    order = sorted(members, key=lambda i: (-len(rl.sets[i]), i))
+    h_idx = next((h for h in order if up[h] & occurring == occurring_members), None)
     if h_idx is None:
         raise TheoremViolation(
             f"no colon witness on {module.label}: submodule={sorted(sub)}, "
             f"closure={sorted(lat.submodules[lat.closure(n_idx, members)])}, "
             f"filter={sigma.label}"
         )
-    return lat.ring_lattice.ideals[h_idx]
-
-
-def _colon_witnesses(
-    tables: _LatticeTables, n_idxs: Sequence[int], members: frozenset
-) -> list[int | None]:
-    """For each index N of n_idxs, the coarsest member h with (N : h) equal
-    to the closure of N, or None.
-
-    (N : h) = {m : h <= (N : m)} and the closure is {m : (N : m) in the
-    filter}, so h qualifies iff, on the colons (N : m) that occur, being
-    above h is being in the filter.
-    """
-    occurring = tables.occurring
-    rl = tables.lat.ring_lattice
-    up = rl.up_masks()
-    member_mask = _mask(members)
-    # ring-lattice indices follow Ideal.sort_key, so ties go to the smaller index
-    order = sorted(members, key=lambda i: (-len(rl.sets[i]), i))
-    # the witness depends on N only through its occurring mask
-    by_occ: dict[int, int | None] = {}
-    out = []
-    for n_idx in n_idxs:
-        occ = occurring[n_idx]
-        if occ not in by_occ:
-            occ_members = occ & member_mask
-            by_occ[occ] = next((h for h in order if up[h] & occ == occ_members), None)
-        out.append(by_occ[occ])
-    return out
+    return rl.ideals[h_idx]
 
 
 def upper_closure(
@@ -504,8 +488,6 @@ class _Tally:
 _THEOREM_ORDER = (
     "certificates-verify",
     "totally-fg-quotient-images",
-    "finite-type",
-    "closure-colon-witness",
     "upper-closed-families-have-maximal",
     "unique-maximal",
     "totally-torsion-quotient-transfer",
@@ -600,12 +582,6 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
                 instances=lat.n * lat.n,
             )
 
-            # closure-colon witness exists for every submodule
-            t = tallies["closure-colon-witness"]
-            witnesses = _colon_witnesses(tables, range(lat.n), members)
-            for s_idx, h_idx in enumerate(witnesses):
-                t.check(h_idx is not None, "{}: S={}", where, s_idx)
-
             # upper closures of singletons are upper closed with maxima
             t = tallies["upper-closed-families-have-maximal"]
             verdicts: dict[int, bool] = {}  # by upper-closure mask
@@ -633,31 +609,28 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
     # ring-level statements
     principal_idx = _principal_indices(rl)
 
-    t = tallies["finite-type"]
-    for b in sorted(sigma.members, key=Ideal.sort_key):
-        gens = minimal_generators(b)
-        acc_idx = rl.zero
-        for g in gens:
-            acc_idx = rl.sum(acc_idx, principal_idx[g])
-        t.check(
-            rl.ideals[acc_idx].elements == b.elements,
-            "basis {} not regenerated from {}", b.label, gens,
-        )
-
-    # (closure witness, certificate) of every ideal, as sigma_principal_status
-    principal_status = [_sigma_principal(rl, i, members, principal_idx) for i in range(rl.n)]
-
+    # (closure witness, certificate) of every ideal, as sigma_principal_status;
+    # the corollary reads the same statuses, so a violation here fails both
     t = tallies["kaplansky-prime-criterion"]
-    pir_side = all(cert is not None for _, cert in principal_status)
-    partition = t.run(spec_partition, sigma)
-    prime_pir_side = partition and all(
-        principal_status[rl.idx(p)][1] is not None for p in partition.K
+    corollary = tallies["kaplansky-noetherian-corollary"]
+    principal_status = t.run(
+        lambda: [_sigma_principal(rl, i, members, principal_idx) for i in range(rl.n)]
     )
-    t.check(pir_side == prime_pir_side, "PIR={}, K-primes={}", pir_side, prime_pir_side)
+    if principal_status is None:
+        for failed in (t, corollary):
+            failed.check(False, "{}", t.counterexample)
+    else:
+        pir_side = all(cert is not None for _, cert in principal_status)
+        partition = t.run(spec_partition, sigma)
+        prime_pir_side = partition and all(
+            principal_status[rl.idx(p)][1] is not None for p in partition.K
+        )
+        t.check(pir_side == prime_pir_side, "PIR={}, K-primes={}", pir_side, prime_pir_side)
 
-    t = tallies["kaplansky-noetherian-corollary"]
-    sigma_pir = all(witness is not None for witness, _ in principal_status)
-    t.check(pir_side == sigma_pir, "totally-PIR={}, sigma-PIR={}", pir_side, sigma_pir)
+        sigma_pir = all(witness is not None for witness, _ in principal_status)
+        corollary.check(
+            pir_side == sigma_pir, "totally-PIR={}, sigma-PIR={}", pir_side, sigma_pir
+        )
 
     t = tallies["meet-decomposition"]
     t.check(t.run(meet_decomposition_check, sigma), "filter differs from its prime meet")

@@ -475,16 +475,17 @@ def test_task_reports_render_as_json_dumps(interactive_outcomes):
 
 def test_interactive_reports_are_pinned(interactive_outcomes):
     # Byte-identity gate for rendered reports and rejection texts; the
-    # digest was re-taken when the checks that cannot fail on a finite
-    # carrier left the suite: every non-suite entry stayed byte-identical,
-    # and every suite report equalled the old one with those entries dropped.
+    # digest was re-taken each time checks left the suite, lately
+    # finite-type and closure-colon-witness: every non-suite entry stayed
+    # byte-identical, and every suite report equalled the old one with those
+    # entries dropped.
     data = "".join(
         f"error {type(r).__name__}: {r}\n" if isinstance(r, Exception) else render_json(r)
         for r in interactive_outcomes
     ).encode("utf-8")
-    assert len(data) == 394474
+    assert len(data) == 367822
     assert hashlib.sha256(data).hexdigest() == (
-        "656e499ed6d02b260ae49c4f7926ca9b421b157f7b60811bc949c24001111135"
+        "eb8ec654423a6ef57b195d09d20a6ab325f8e7007559eb6d4fe5d685e8f00e2e"
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import signal
+from itertools import product
 
 import pytest
 
@@ -287,8 +288,6 @@ def test_suite_report_dict_shape(z12):
     assert [t["name"] for t in d["theorems"]] == [
         "certificates-verify",
         "totally-fg-quotient-images",
-        "finite-type",
-        "closure-colon-witness",
         "upper-closed-families-have-maximal",
         "unique-maximal",
         "totally-torsion-quotient-transfer",
@@ -637,13 +636,11 @@ def _plant_preimage(monkeypatch, ring, lat):
 
 # theorem -> (n of the ring Z/n, its filter, plant(monkeypatch, ring, lat)),
 # lat being the private lattice of A handed to the suite; the plants of the
-# tests above and four more
+# tests above and two more
 _PLANTS = {
     "certificates-verify": (6, _outside_3, lambda mp, ring, lat: _plant(
         lat, lat.zero, lat.top, lat.ring_lattice.top)),
     "totally-fg-quotient-images": (6, _outside_3, lambda mp, ring, lat: _plant_sum(lat)),
-    "finite-type": (6, _outside_3, _plant_ring_sum),
-    "closure-colon-witness": (6, _outside_3, _plant_up_mask),
     "upper-closed-families-have-maximal": (6, trivial_filter, lambda mp, ring, lat: _plant(
         lat, 0, 1, lat.ring_lattice.top)),
     "unique-maximal": (6, trivial_filter, lambda mp, ring, lat: _plant(
@@ -657,30 +654,56 @@ _PLANTS = {
 }
 
 
+def _failed_suite_spec(monkeypatch, ring, sigma) -> tuple[int, set]:
+    """Exit code and failed theorems of a suite spec run on ring and sigma."""
+    from torsionlab import cli
+
+    monkeypatch.setattr(cli, "build_ring", lambda term, cap: ring)
+    monkeypatch.setattr(cli, "build_filter", lambda ring, spec: sigma)
+    report, code = cli.execute({"task": "suite", "ring": ring.term, "filter": "trivial"})
+    theorems = report["results"]["reports"][0]["theorems"]
+    return code, {t["name"] for t in theorems if not t["passed"]}
+
+
 @pytest.mark.parametrize("name", noether._THEOREM_ORDER)
 def test_each_theorem_fails_on_its_planted_defect(monkeypatch, name):
     # the plant goes into a fresh ring after its filter is built; the suite
     # spec then runs on that ring and filter, and the theorem's failure is a
     # counterexample with exit 1, never a traceback
-    from torsionlab import cli
-
     assert _PLANTS.keys() == set(noether._THEOREM_ORDER)
     n, make_filter, plant = _PLANTS[name]
     ring = zmod(n)
     sigma = make_filter(ring)
     lat = SubmoduleLattice(free_module(ring, 1))
     plant(monkeypatch, ring, lat)
-    monkeypatch.setattr(cli, "build_ring", lambda term, cap: ring)
-    monkeypatch.setattr(cli, "build_filter", lambda ring, spec: sigma)
     real = noether.submodule_lattice
     monkeypatch.setattr(
         noether, "submodule_lattice",
         lambda m: lat if m.ring is ring and m.rank == 1 else real(m),
     )
-    report, code = cli.execute({"task": "suite", "ring": {"zmod": n}, "filter": "trivial"})
+    code, failed = _failed_suite_spec(monkeypatch, ring, sigma)
     assert code == 1
-    theorems = report["results"]["reports"][0]["theorems"]
-    assert name in [t["name"] for t in theorems if not t["passed"]]
+    assert name in failed
+
+
+@pytest.mark.parametrize(
+    "plant, expected",
+    [
+        (_plant_ring_sum, {"totally-fg-quotient-images", "totally-torsion-quotient-transfer"}),
+        (_plant_up_mask, {"unique-maximal", "totally-torsion-quotient-transfer"}),
+    ],
+    ids=["ring-sum", "up-mask"],
+)
+def test_plants_of_retired_theorems_fail_the_suite(monkeypatch, plant, expected):
+    # the plants that failed finite-type and closure-colon-witness, on the
+    # ideal lattice of a fresh Z/6, which is also the lattice of A: with both
+    # checks gone from the suite, other theorems still fail with exit 1
+    ring = zmod(6)
+    sigma = _outside_3(ring)
+    plant(monkeypatch, ring, ideal_lattice(ring))
+    code, failed = _failed_suite_spec(monkeypatch, ring, sigma)
+    assert code == 1
+    assert failed == expected
 
 
 def test_growing_power_fails_almost_jansian(monkeypatch):
@@ -739,6 +762,78 @@ def test_carrier_violations_fail_a_theorem(monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert (failed, passed) == (80, 2)
+
+
+def _plant_colon_row(rl, i: int, x: int, value: int) -> None:
+    """Set entry x of the colon row of ideal i, (N_i : x), to value."""
+    row = rl.colon_row(i)
+    rl._colon_rows[i] = row[:x] + (value,) + row[x + 1:]
+
+
+def test_colon_row_plants_fail_a_theorem():
+    # every single colon-row entry (N_i : x) of the ideal lattice of a fresh
+    # Z/6 or Z/4, set to each other ideal index once the filter is built,
+    # under every filter: 336 runs; a violation the plant raises in the
+    # ring-level checks fails a theorem instead of leaving theorem_suite (159
+    # runs escaped before, 152 with TheoremViolation and 7 with ValueError);
+    # the alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("a planted suite did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(30)
+    failed = passed = 0
+    try:
+        for n in (6, 4):
+            probe = ideal_lattice(zmod(n))
+            for k in range(len(enumerate_gabriel_filters(probe.ring))):
+                for i, x, value in product(range(probe.n), range(n), range(probe.n)):
+                    if value == probe.colon_row(i)[x]:
+                        continue
+                    ring = zmod(n)
+                    sigma = enumerate_gabriel_filters(ring)[k]
+                    _plant_colon_row(ideal_lattice(ring), i, x, value)
+                    all_passed = theorem_suite(ring, sigma).all_passed
+                    failed += not all_passed
+                    passed += all_passed
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (failed, passed) == (199, 137)
+
+
+def _failed_results(ring, sigma) -> dict:
+    """The failed theorems of theorem_suite(ring, sigma), with counterexamples."""
+    return {r.name: r.counterexample for r in theorem_suite(ring, sigma).results if not r.passed}
+
+
+def test_principal_status_violation_fails_both_kaplansky_theorems():
+    # on a fresh Z/6 under the trivial filter, ((0) : 0) planted as (0)
+    # leaves the closure of (0) without 0, so the sigma-principal statuses
+    # that both Kaplansky theorems read raise; both fail with the violation
+    ring = zmod(6)
+    sigma = trivial_filter(ring)
+    rl = ideal_lattice(ring)
+    _plant_colon_row(rl, rl.zero, 0, rl.zero)
+    failed = _failed_results(ring, sigma)
+    violation = "closure of sub-object 0 is not an ideal of Z/6: the member indices [3] are not a filter"
+    assert failed["kaplansky-prime-criterion"] == violation
+    assert failed["kaplansky-noetherian-corollary"] == violation
+
+
+def test_closure_inside_its_prime_fails_kaplansky_prime_criterion():
+    # on a fresh Z/6 under the trivial filter, ((3) : 3) planted as (0)
+    # makes the closure of the prime (3) the zero ideal, strictly inside it;
+    # the spectrum partition names 3 as the witness instead of raising on
+    # an empty difference
+    ring = zmod(6)
+    sigma = trivial_filter(ring)
+    rl = ideal_lattice(ring)
+    _plant_colon_row(rl, rl.idx(ideal_of(ring, 3)), 3, rl.zero)
+    assert _failed_results(ring, sigma)["kaplansky-prime-criterion"] == (
+        "prime (3) outside the filter but its closure differs from it,"
+        " so Z/6/(3) is not torsionfree (witness 3)"
+    )
 
 
 def test_carrier_violation_exits_1(monkeypatch):
