@@ -64,7 +64,7 @@ from .monomial import (
     s_finite_decide,
     saturation,
 )
-from .noether import shared_suite_tables, theorem_suite, tfg_certificate, verify_certificate
+from .noether import theorem_suite, tfg_certificate, verify_certificate
 from .rings import (
     DEFAULT_SIZE_CAP,
     FiniteRing,
@@ -232,7 +232,7 @@ def load_spec(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise SpecValidationError(f"cannot read spec file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecValidationError(
@@ -244,9 +244,12 @@ def load_spec(path: str) -> dict:
 def validate_spec(doc: dict) -> None:
     """Accept a document the compiled predicate accepts; word a rejection
     with jsonschema's first error by instance path."""
-    if _spec_predicate()(doc):
-        return
-    errors = sorted(_spec_validator().iter_errors(doc), key=lambda e: list(e.absolute_path))
+    try:
+        if _spec_predicate()(doc):
+            return
+        errors = sorted(_spec_validator().iter_errors(doc), key=lambda e: list(e.absolute_path))
+    except RecursionError as exc:
+        raise SpecValidationError("spec validation failed: the document nests too deeply") from exc
     if not errors:
         raise SpecPredicateError("the compiled spec predicate rejects a document the schema accepts")
     first = errors[0]
@@ -389,17 +392,14 @@ def _run_suite(doc: dict, cap: int, budget: DecisionBudget) -> tuple[dict, list]
     reports = []
     counterexamples = []
     for ring, filters in groups:
-        # the suites of one ring share its filter-independent tables
-        with shared_suite_tables(ring):
-            for sigma in filters:
-                report = theorem_suite(ring, sigma)
-                reports.append(report.to_dict())
-                for result in report.results:
-                    if not result.passed:
-                        counterexamples.append(
-                            f"{ring.label} / {sigma.label} / {result.name}: "
-                            f"{result.counterexample}"
-                        )
+        for sigma in filters:
+            report = theorem_suite(ring, sigma)
+            reports.append(report.to_dict())
+            for result in report.results:
+                if not result.passed:
+                    counterexamples.append(
+                        f"{ring.label} / {sigma.label} / {result.name}: {result.counterexample}"
+                    )
     results = {
         "kind": "suite",
         "all_passed": not counterexamples,

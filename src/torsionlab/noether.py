@@ -38,24 +38,20 @@ quotient-transfer verdict of each T, and the element-level
 re-verification of each certificate.
 ``_LatticeTables`` holds these for one lattice, each entry built on its
 first read, and the filter-dependent part of every check is a membership
-test against them.  Suite and public predicates alike get their tables
-from ``_lattice_tables(lat)``: fresh ones, dropped after the call, unless
-the ring's suites run inside ``shared_suite_tables(ring)``, as a sweep's
-do; that block attaches one set per lattice to the ring, shared by all of
-the ring's filters, and removes it on exit.  Nothing is stored on the
-lattice itself, for two reasons: a lattice-lifetime memo would hide a
-colon or sum entry planted between two runs on one lattice, and the entry
-point stays ``theorem_suite(ring, sigma)``, one call per pair, so code that
-wraps it sees every call.
+test against them.  Suite and public predicates alike get them from
+``_lattice_tables(lat)``, which keeps one set per lattice on the lattice's
+ring, as the ring keeps its lattices, so all of a ring's filters share
+them and they are freed with the ring.  Like the lattice's own derived
+rows, they read a colon or sum entry once: a defect planted after the
+first read needs the ring's "suite_tables" entry dropped.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, starmap
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import (
     NotASubmodule,
@@ -104,7 +100,7 @@ class Certificate:
 
 class _LatticeTables:
     """The filter-independent tables of one lattice, each entry built on its
-    first read; see the module docstring for who shares them."""
+    first read; see the module docstring for who holds them."""
 
     def __init__(self, lat):
         self.lat = lat
@@ -184,28 +180,11 @@ class _LatticeTables:
         return not any(bars & ~ok for bars, ok in zip(images, passing))
 
 
-_SHARED_TABLES = "suite_tables"  # key in FiniteRing._cache inside shared_suite_tables
-
-
-@contextmanager
-def shared_suite_tables(ring: FiniteRing) -> Iterator[None]:
-    """Inside the block, every theorem_suite call on ring shares one set of
-    filter-independent tables per lattice; the tables go on exit."""
-    ring._cache[_SHARED_TABLES] = {}
-    try:
-        yield
-    finally:
-        del ring._cache[_SHARED_TABLES]
-
-
 def _lattice_tables(lat) -> _LatticeTables:
-    """The shared tables of the lattice inside shared_suite_tables, else fresh ones."""
-    shared = lat.ring._cache.get(_SHARED_TABLES)
-    if shared is None:
-        return _LatticeTables(lat)
-    if lat not in shared:
-        shared[lat] = _LatticeTables(lat)
-    return shared[lat]
+    """The tables of the lattice, kept on its ring: built on first read, freed with the ring."""
+    if "suite_tables" not in lat.ring._cache:
+        lat.ring._cache["suite_tables"] = _Rows(_LatticeTables)
+    return lat.ring._cache["suite_tables"][lat]
 
 
 def tfg_certificate(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) -> Certificate:

@@ -294,6 +294,33 @@ def test_main_missing_file(capsys):
     assert main(["census", "--spec", "/nonexistent/x.json"]) == 2
 
 
+def _nested_products(depth: int) -> dict:
+    term = {"zmod": 2}
+    for _ in range(depth):
+        term = {"product": [term, {"zmod": 2}]}
+    return term
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"ring": {"zmod": 6}\xff}', "cannot read spec file"),
+        (b"[" * 100_000, "cannot read spec file"),
+        (json.dumps({"ring": _nested_products(300), "filter": "trivial"}).encode(),
+         "spec validation failed: the document nests too deeply"),
+    ],
+    ids=["invalid-utf8", "deep-json", "deep-ring"],
+)
+def test_malformed_spec_file_exits_2(tmp_path, capsys, content, message):
+    # a byte that is not UTF-8, or nesting past the interpreter's recursion
+    # limit while parsing or validating, is bad input: exit 2, one error line
+    path = tmp_path / "malformed.json"
+    path.write_bytes(content)
+    assert main(["suite", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_main_expect_pass_on_refuted(tmp_path, capsys):
     spec = write_spec(
         tmp_path,
@@ -342,7 +369,9 @@ def test_monomial_op_without_its_operand_exits_2(tmp_path, capsys, op, missing):
     )
 
 
-@pytest.mark.parametrize("error", [KeyError, TheoremViolation], ids=lambda e: e.__name__)
+@pytest.mark.parametrize(
+    "error", [KeyError, TheoremViolation, RecursionError], ids=lambda e: e.__name__
+)
 def test_main_internal_error_is_not_input_error(tmp_path, monkeypatch, capsys, error):
     def broken(ring, sigma):
         raise error("internal")

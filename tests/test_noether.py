@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import signal
+import weakref
 from itertools import product
 
 import pytest
@@ -324,6 +325,7 @@ def _planted_transfer(monkeypatch, row: int, col: int, value: int) -> bool:
     monkeypatch.setattr(noether, "submodule_lattice", lambda m: lat)
     assert quotient_transfer_check(module, t_sub, sigma)
     _plant(lat, row, col, value)
+    ring._cache.pop("suite_tables")  # the baseline's tables read the entry unplanted
     return quotient_transfer_check(module, t_sub, sigma)
 
 
@@ -388,6 +390,7 @@ def _planted_suite(monkeypatch, ring, sigma, lat) -> dict:
         noether, "submodule_lattice",
         lambda m: lat if m.ring is ring and m.rank == 1 else real(m),
     )
+    ring._cache.pop("suite_tables", None)  # a baseline run's tables predate a plant
     return {r.name: r.passed for r in theorem_suite(ring, sigma).results}
 
 
@@ -539,6 +542,11 @@ def test_many_t_transfer_matches_single_t_check(monkeypatch):
     of quotient_transfer_check one T at a time, each on fresh tables: on A
     and A^2 of the catalog rings up to size 8 under every Gabriel filter,
     and on a lattice with a planted sum, where some T fail."""
+
+    def single_check(module, t_sub, sigma):
+        module.ring._cache.pop("suite_tables", None)  # fresh tables for each call
+        return quotient_transfer_check(module, t_sub, sigma)
+
     for term in ring_catalog(8):
         ring = build_ring(term)
         for rank in (1, 2):
@@ -548,7 +556,7 @@ def test_many_t_transfer_matches_single_t_check(monkeypatch):
             for sigma in enumerate_gabriel_filters(ring):
                 members = sigma.member_indices()
                 torsion = [t for t in range(lat.n) if lat.pair_colon(lat.zero, t) in members]
-                single = [quotient_transfer_check(module, lat.sets[t], sigma) for t in torsion]
+                single = [single_check(module, lat.sets[t], sigma) for t in torsion]
                 assert [tables.transfers[t] for t in torsion] == single
     ring = zmod(6)
     module = free_module(ring, 1)
@@ -557,7 +565,7 @@ def test_many_t_transfer_matches_single_t_check(monkeypatch):
     monkeypatch.setattr(noether, "submodule_lattice", lambda m: lat)
     _plant_sum(lat)
     torsion = [lat.zero, lat.idx(frozenset({0, 3}))]
-    single = [quotient_transfer_check(module, lat.sets[t], sigma) for t in torsion]
+    single = [single_check(module, lat.sets[t], sigma) for t in torsion]
     assert single == [True, False]
     tables = noether._LatticeTables(lat)
     assert [tables.transfers[t] for t in torsion] == single
@@ -567,14 +575,14 @@ def test_ranked_candidates_match_index_scan():
     """The first candidate of the ranked table whose colon is a member is
     the canonical certificate that one scan of every H <= N picks: for every
     sub-object of A and A^2 of the catalog rings up to size 10 under every
-    Gabriel filter, on one set of tables shared by a ring's filters, as a
-    sweep reads them, and on fresh tables per call."""
+    Gabriel filter, on the tables the ring keeps for all of its filters, as
+    a sweep reads them, and on fresh tables per call."""
     for term in ring_catalog(10):
         ring = build_ring(term)
         filters = [sigma.member_indices() for sigma in enumerate_gabriel_filters(ring)]
         for rank in (1, 2):
             lat = submodule_lattice(free_module(ring, rank))
-            shared = noether._LatticeTables(lat)
+            shared = noether._lattice_tables(lat)
             for members in filters:
                 for n_idx in range(lat.n):
                     expected = certificate_by_index_scan(lat, n_idx, members)
@@ -863,57 +871,81 @@ def test_carrier_violation_exits_1(monkeypatch):
     )
 
 
-# -- tables shared across the filters of a ring -------------------------------------------
+# -- tables kept on the ring for all of its filters ----------------------------------------
 
 
-def _lone_and_shared_reports(monkeypatch, ring, lat) -> tuple[list, list]:
-    """Every filter's report from lone theorem_suite calls and from one pass
-    inside shared_suite_tables, with a private rank-1 lattice of the ring."""
-    monkeypatch.setattr(
-        noether, "submodule_lattice",
-        lambda m: lat if m.ring is ring and m.rank == 1 else submodule_lattice(m),
-    )
-    filters = enumerate_gabriel_filters(ring)
-    lone = [theorem_suite(ring, sigma).to_dict() for sigma in filters]
-    with noether.shared_suite_tables(ring):
-        shared = [theorem_suite(ring, sigma).to_dict() for sigma in filters]
-    return lone, shared
+def _one_pass_and_fresh_reports(monkeypatch, ring, plant) -> tuple[list, list]:
+    """Every filter's report from one pass over ring's filters, with a private
+    rank-1 lattice planted by plant, and from a fresh ring and planted lattice
+    per filter."""
+
+    def reports(ring, filters):
+        lat = SubmoduleLattice(free_module(ring, 1))
+        plant(lat)
+        monkeypatch.setattr(
+            noether, "submodule_lattice",
+            lambda m: lat if m.ring is ring and m.rank == 1 else submodule_lattice(m),
+        )
+        return [theorem_suite(ring, sigma).to_dict() for sigma in filters]
+
+    one_pass = reports(ring, enumerate_gabriel_filters(ring))
+    fresh = []
+    for k in range(len(one_pass)):
+        ring = zmod(ring.size)
+        fresh.extend(reports(ring, enumerate_gabriel_filters(ring)[k:k + 1]))
+    return one_pass, fresh
 
 
 @pytest.mark.parametrize("plant", ["colon", "sum"])
-def test_shared_tables_match_lone_calls_on_planted_lattices(monkeypatch, plant):
+def test_ring_tables_match_fresh_rings_on_planted_lattices(monkeypatch, plant):
     # the planted defects of the certificate and quotient tests above, on
-    # A = Z/6: with tables shared across the four filters, each filter's
-    # report, failures included, equals its lone-call report
-    ring = zmod(6)
-    lat = SubmoduleLattice(free_module(ring, 1))
-    if plant == "colon":
-        _plant(lat, lat.zero, lat.top, lat.ring_lattice.top)
-    else:
-        _plant_sum(lat)
-    lone, shared = _lone_and_shared_reports(monkeypatch, ring, lat)
-    assert shared == lone
-    failing = [i for i, report in enumerate(lone) if not report["all_passed"]]
+    # A = Z/6: with the ring's tables read by all four filters, each filter's
+    # report, failures included, equals its report on a fresh ring
+    def planted(lat):
+        if plant == "colon":
+            _plant(lat, lat.zero, lat.top, lat.ring_lattice.top)
+        else:
+            _plant_sum(lat)
+
+    one_pass, fresh = _one_pass_and_fresh_reports(monkeypatch, zmod(6), planted)
+    assert one_pass == fresh
+    failing = [i for i, report in enumerate(one_pass) if not report["all_passed"]]
     assert failing and failing[-1] > 0  # a filter after the first sees the defect
 
 
-def test_lone_suite_call_leaves_no_tables():
+def test_ring_reuses_its_tables_and_frees_them():
+    # a second round of the suite and the public predicates on one ring reads
+    # the two sets of tables the first round built; dropping the ring frees them
     ring = zmod(12)
     sigma = filter_from_mult_set(ring, [1, 3, 9])
-    theorem_suite(ring, sigma)
-    assert noether._SHARED_TABLES not in ring._cache
-    with noether.shared_suite_tables(ring):
+    a, a2 = free_module(ring, 1), free_module(ring, 2)
+    rounds = []
+    for _ in range(2):
         theorem_suite(ring, sigma)
-        assert len(ring._cache[noether._SHARED_TABLES]) == 2  # the lattices of A and A^2
-    assert noether._SHARED_TABLES not in ring._cache
+        tfg_certificate(a2, submodule_lattice(a2).sets[-1], sigma)
+        upper_closure(a, [frozenset({0, 6})], sigma)
+        quotient_transfer_check(a, frozenset({0, 4, 8}), sigma)
+        rounds.append(list(ring._cache["suite_tables"].values()))
+    first, second = rounds
+    assert len(first) == 2  # the lattices of A and A^2
+    assert all(x is y for x, y in zip(first, second))
+    held = [weakref.ref(tables) for tables in first]
+    del ring, sigma, a, a2, rounds, first, second
     gc.collect()
-    assert not [obj for obj in gc.get_objects() if isinstance(obj, noether._LatticeTables)]
+    assert [ref() for ref in held] == [None, None]
+
+
+def _live_tables() -> dict:
+    gc.collect()
+    return {id(obj): obj for obj in gc.get_objects() if isinstance(obj, noether._LatticeTables)}
 
 
 def test_sweep_reports_equal_lone_calls():
     from torsionlab import cli
 
+    before = _live_tables()  # those of rings other tests still hold
     report, code = cli.execute({"task": "suite", "params": {"sweep_max_size": 8}})
+    assert _live_tables().keys() == before.keys()
     assert code == 0
     lone = []
     for term in ring_catalog(8):
@@ -921,5 +953,3 @@ def test_sweep_reports_equal_lone_calls():
         filters = enumerate_gabriel_filters(ring)
         lone.extend(theorem_suite(ring, sigma).to_dict() for sigma in filters)
     assert report["results"]["reports"] == lone
-    gc.collect()
-    assert not [obj for obj in gc.get_objects() if isinstance(obj, noether._LatticeTables)]
