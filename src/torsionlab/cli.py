@@ -239,6 +239,8 @@ def load_spec(path: str) -> dict:
             f"spec file {path} is not valid JSON: {exc.msg} "
             f"(line {exc.lineno}, column {exc.colno})"
         ) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise SpecValidationError(f"cannot read spec file {path}: {exc}") from exc
 
 
 def validate_spec(doc: dict) -> None:

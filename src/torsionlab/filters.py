@@ -1,21 +1,22 @@
 """Gabriel filters and hereditary torsion machinery on finite rings.
 
-A filter is stored extensionally as a set of ideals.  On a finite ring a
-set F of ideals is a Gabriel filter iff F = up(b), the ideals containing
-its least member b, and b*b = b.  Every filter is the up-set of its least
-member (it is closed under finite intersections), and up(b) is closed
-upward and under intersections.  If b*b != b, c = b*b is not in up(b) yet
-(c : x) contains b for every x in b: the Gabriel condition fails.  If
-b*b = b, a contains b and every (c : x), x in a, contains b, then c
-contains b*a, which contains b*b = b; so c is in up(b), as is every a*a'.
-Constructors decide by this rule; a member set that fails it is a bug and
-raises :class:`TheoremViolation`, worded by :func:`gabriel_check`.
+A filter is kept as the ring-lattice index of its least member.  On a
+finite ring a set F of ideals is a Gabriel filter iff F = up(b), the
+ideals containing its least member b, and b*b = b.  Every filter is the
+up-set of its least member (it is closed under finite intersections), and
+up(b) is closed upward and under intersections.  If b*b != b, c = b*b is
+not in up(b) yet (c : x) contains b for every x in b: the Gabriel
+condition fails.  If b*b = b, a contains b and every (c : x), x in a,
+contains b, then c contains b*a, which contains b*b = b; so c is in
+up(b), as is every a*a'.  Constructors decide by this rule; a member set
+that fails it is a bug and raises :class:`TheoremViolation`, worded by
+:func:`gabriel_check`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -48,37 +49,37 @@ from .rings import (
 
 @dataclass(frozen=True)
 class GabrielFilter:
-    """A Gabriel filter: the ideal set of a hereditary torsion theory."""
+    """A Gabriel filter: the ideal set of a hereditary torsion theory, the
+    up-set of its least member, an idempotent ideal with lattice index least."""
 
     ring: FiniteRing
-    members: frozenset
+    least: int
 
     def __contains__(self, ideal: Ideal) -> bool:
         return ideal in self.members
 
+    @cached_property
+    def members(self) -> frozenset:
+        """The member ideals, built on first read."""
+        return frozenset(self.sorted_members())
+
     @property
     def basis(self) -> tuple[Ideal, ...]:
-        """Minimal members under inclusion, in lattice order: one OR of the
-        members' strict up-sets marks every member that is not minimal."""
-        lat = ideal_lattice(self.ring)
-        up = lat.up_masks()
-        member_idx = self.member_indices()
-        above = 0
-        for b in member_idx:
-            above |= up[b] & ~(1 << b)
-        return tuple(lat.ideals[b] for b in sorted(member_idx) if not above >> b & 1)
+        """The minimal members under inclusion: the least member alone."""
+        return (ideal_lattice(self.ring).ideals[self.least],)
 
     @property
     def label(self) -> str:
         return "filter<" + ",".join(b.label for b in self.basis) + ">"
 
     def sorted_members(self) -> tuple[Ideal, ...]:
-        return tuple(sorted(self.members, key=Ideal.sort_key))
+        """The members in lattice order, which is Ideal.sort_key order."""
+        lat = ideal_lattice(self.ring)
+        return tuple(lat.ideals[j] for j in lat.upset(self.least))
 
     def member_indices(self) -> frozenset:
         """The members as indices into the ideal lattice of the ring."""
-        lat = ideal_lattice(self.ring)
-        return frozenset(lat.idx(a) for a in self.members)
+        return frozenset(ideal_lattice(self.ring).upset(self.least))
 
     def __repr__(self) -> str:
         return f"GabrielFilter({self.ring.label}, {self.label})"
@@ -169,7 +170,7 @@ def _checked_filter(ring: FiniteRing, members: Iterable[Ideal], what: str) -> Ga
             + ("; ".join(v.describe() for v in report)
                or "no axiom fails, yet the least member is not idempotent")
         )
-    return GabrielFilter(ring, members)
+    return GabrielFilter(ring, b)
 
 
 def gabriel_closure(ring: FiniteRing, seeds: Iterable[Ideal]) -> GabrielFilter:
@@ -185,7 +186,7 @@ def gabriel_closure(ring: FiniteRing, seeds: Iterable[Ideal]) -> GabrielFilter:
     lat = ideal_lattice(ring)
     meet = reduce(lat.inter, (lat.idx(a) for a in seeds), lat.top)
     b = next(b for b in range(meet, -1, -1) if lat.leq(b, meet) and lat.prod(b, b) == b)
-    return GabrielFilter(ring, frozenset(lat.ideals[j] for j in lat.upset(b)))
+    return GabrielFilter(ring, b)
 
 
 def filter_from_mult_set(ring: FiniteRing, mult_set: Iterable[int]) -> GabrielFilter:
@@ -249,18 +250,14 @@ def enumerate_gabriel_filters(ring: FiniteRing) -> tuple[GabrielFilter, ...]:
     On a finite ring every filter of ideals is the up-set of its smallest
     member b, and up(b) is Gabriel iff b*b = b (module docstring): if not,
     b*b is outside up(b) although (b*b : x) contains b for every x in b.
-    So the census keeps the up-set of each idempotent ideal.  The census
-    acceptance test cross-checks this against a raw subset scan of the
-    ideal lattice.
+    So the census keeps the up-set of each idempotent ideal, ordered by
+    size, then by its members in lattice order.  The census acceptance test
+    cross-checks this against a raw subset scan of the ideal lattice.
     """
     lat = ideal_lattice(ring)
-    found = [
-        GabrielFilter(ring, frozenset(lat.ideals[j] for j in lat.upset(b)))
-        for b in range(lat.n)
-        if lat.prod(b, b) == b
-    ]
-    found.sort(key=lambda f: (len(f.members), tuple(a.sort_key() for a in f.sorted_members())))
-    return tuple(found)
+    idempotents = [b for b in range(lat.n) if lat.prod(b, b) == b]
+    idempotents.sort(key=lambda b: (len(lat.upset(b)), lat.upset(b)))
+    return tuple(GabrielFilter(ring, b) for b in idempotents)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +339,8 @@ def spec_partition(sigma: GabrielFilter) -> SpecPartition:
     Primes in the filter land in Z; all others land in K and the quotient by
     each is verified torsionfree.  C collects the maximal elements of K.
     On a finite ring every prime is maximal, so Z is upward closed in the
-    spectrum as built.
+    spectrum as built.  The spectrum comes in lattice order, and so do the
+    three sides.
     """
     ring = sigma.ring
     lat = ideal_lattice(ring)
@@ -363,11 +361,7 @@ def spec_partition(sigma: GabrielFilter) -> SpecPartition:
             )
         k_side.append(p)
     c_side = [lat.ideals[i] for i in lat.maximal([lat.idx(p) for p in k_side])]
-    return SpecPartition(
-        K=tuple(sorted(k_side, key=Ideal.sort_key)),
-        Z=tuple(sorted(z_side, key=Ideal.sort_key)),
-        C=tuple(sorted(c_side, key=Ideal.sort_key)),
-    )
+    return SpecPartition(K=tuple(k_side), Z=tuple(z_side), C=tuple(c_side))
 
 
 def meet_decomposition_check(sigma: GabrielFilter) -> bool:

@@ -173,19 +173,22 @@ def monomial_ideal(
     gens: Iterable[Monomial] = (), families: Iterable[TailFamily] = ()
 ) -> MonomialIdeal:
     """Build and minimalize an ideal presentation (deduplicated, dominated
-    generators removed, families covered by a finite generator removed)."""
-    gens = sorted(set(gens), key=Monomial.sort_key)
+    generators removed, families covered by a finite generator removed).
+    A divisor's least variable is one of the target's, or 0 for the divisor
+    1, so each target is tested only against the kept generators listed
+    under its own variables."""
     kept: list[Monomial] = []
-    for g in gens:
-        if not any(other.divides(g) for other in kept):
+    by_least: dict[int, list[Monomial]] = {}  # kept generators by least variable
+
+    def covered(m: Monomial) -> bool:
+        return any(g.divides(m) for v in (0, *m.support) for g in by_least.get(v, ()))
+
+    for g in sorted(set(gens), key=Monomial.sort_key):
+        if not covered(g):
             kept.append(g)
-    families_out = []
-    for fam in sorted(
-        set(families), key=lambda f: (f.base.sort_key(), f.start, f.step, f.exponent)
-    ):
-        if not any(g.divides(fam.base) for g in kept):
-            families_out.append(fam)
-    return MonomialIdeal(tuple(kept), tuple(families_out))
+            by_least.setdefault(g.exps[0][0] if g.exps else 0, []).append(g)
+    fams = sorted(set(families), key=lambda f: (f.base.sort_key(), f.start, f.step, f.exponent))
+    return MonomialIdeal(tuple(kept), tuple(f for f in fams if not covered(f.base)))
 
 
 def _peeled_ideal(

@@ -31,11 +31,10 @@ traceback; inside a carrier's checks it also skips the rest of them.
 
 The suite runs once per (ring, filter), but much of its work does not
 depend on the filter: the colons grouped by value along each colon-matrix
-row, the maximal members of each upper-closure mask, the certificate
-candidates (H, (H : N)) of each N, ranked once by the canonical order,
-the image colons of each certificate pair under every quotient map, the
-quotient-transfer verdict of each T, and the element-level
-re-verification of each certificate.
+row, the certificate candidates (H, (H : N)) of each N, ranked once by
+the canonical order, the image colons of each certificate pair under
+every quotient map, the quotient-transfer verdict of each T, and the
+element-level re-verification of each certificate.
 ``_LatticeTables`` holds these for one lattice, each entry built on its
 first read, and the filter-dependent part of every check is a membership
 test against them.  Suite and public predicates alike get them from
@@ -107,10 +106,6 @@ class _LatticeTables:
         # colon_groups[n]: (c, mask) for each colon c of colon-matrix row n,
         # the mask holding the columns H with (N_n : H) = c
         self.colon_groups = _Rows(self._colon_groups)
-        # family_bits[mask], family_maxima[mask]: the indices of a family
-        # given as a mask, and its maximal members
-        self.family_bits = _Rows(_bits)
-        self.family_maxima = _Rows(lambda fam: lat.maximal(self.family_bits[fam]))
         # quotient_images[(H, S)]: the colons ((H + N) : (S + N)) over every N
         self.quotient_images = _Rows(self._quotient_images)
         # passing[ann][h]: the h_bar with h <= h_bar and h_bar*ann <= h, as a mask
@@ -523,11 +518,10 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         try:
             cm = lat.colon_matrix()
             # upper[n]: the upper closure of {N_n} as a bitmask, i.e. every H
-            # with (N_n : H) in the filter; upper_members[n] lists its bits, and
-            # its maximal elements serve two theorems below
+            # with (N_n : H) in the filter; the maximal elements of each
+            # distinct mask, decided once, serve two theorems below
             upper = [_upper_closure(tables, (n,), members) for n in range(lat.n)]
-            upper_members = [tables.family_bits[fam] for fam in upper]
-            maxima = [tables.family_maxima[fam] for fam in upper]
+            maxima = {fam: lat.maximal(_bits(fam)) for fam in set(upper)}
 
             # certificates exist canonically and re-verify; a certificate's h is
             # a filter member, so its verdict is re-verified once per set of tables
@@ -567,14 +561,14 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
             for n_idx, fam in enumerate(upper):
                 if fam not in verdicts:
                     # the upper closure of a family is the union of its members' ones
-                    closed = not any(upper[h] & ~fam for h in upper_members[n_idx])
-                    verdicts[fam] = closed and bool(maxima[n_idx])
+                    closed = not any(upper[h] & ~fam for h in _bits(fam))
+                    verdicts[fam] = closed and bool(maxima[fam])
                 t.check(verdicts[fam], "{}: N={}", where, n_idx)
 
             # unique maximal element iff the closure joins the upper closure
             t = tallies["unique-maximal"]
             for n_idx in range(lat.n):
-                ok = _unique_maximal(lat, n_idx, members, upper[n_idx], maxima[n_idx])
+                ok = _unique_maximal(lat, n_idx, members, upper[n_idx], maxima[upper[n_idx]])
                 t.check(ok, "{}: N={}", where, n_idx)
 
             # quotients by totally torsion submodules preserve stability data

@@ -188,6 +188,8 @@ def _poly_label(coeffs: Sequence[int], var: str = "x") -> str:
 
 def poly_quotient(p: int, coeffs: Sequence[int], cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     """The ring F_p[x]/(f) for a monic f, coefficients given low-to-high."""
+    if p > cap:  # the ring has at least p elements; decided before trial division
+        raise SizeCapExceeded(f"F_{p}[x]/(f) has at least {p} elements, exceeding cap {cap}")
     if not _is_prime(p):
         raise InvalidModulus(f"coefficient modulus must be prime, got {p}")
     coeffs = [c % p for c in coeffs]
@@ -222,6 +224,8 @@ _SQZ_VARS = ("x", "y", "z")
 
 def square_zero(p: int, k: int, cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     """The local ring F_p[x_1..x_k]/(x_i*x_j): all products of generators vanish."""
+    if p > cap:  # the ring has at least p elements; decided before trial division
+        raise SizeCapExceeded(f"square-zero ring has at least {p} elements, exceeding cap {cap}")
     if not _is_prime(p):
         raise InvalidModulus(f"coefficient modulus must be prime, got {p}")
     if k < 1:

@@ -7,6 +7,8 @@ instead of closure algorithms, raw subset scans instead of lattice logic.
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -445,3 +447,19 @@ def quotient_by_entries(ring: FiniteRing, ideal: frozenset) -> tuple[list, list,
     add = [[proj[ring.add(a, b)] for b in cosets] for a in cosets]
     mul = [[proj[ring.mul(a, b)] for b in cosets] for a in cosets]
     return add, mul, proj
+
+
+@contextmanager
+def alarm(seconds: int, what: str):
+    """Turn a hang of the block into a TimeoutError after the given seconds."""
+
+    def hang(signum, frame):
+        raise TimeoutError(f"{what} did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -36,6 +36,8 @@ from torsionlab.rings import (
     ring_catalog,
 )
 
+from .helpers import alarm
+
 
 def write_spec(tmp_path, doc, name="spec.json"):
     path = tmp_path / name
@@ -308,17 +310,39 @@ def _nested_products(depth: int) -> dict:
         (b"[" * 100_000, "cannot read spec file"),
         (json.dumps({"ring": _nested_products(300), "filter": "trivial"}).encode(),
          "spec validation failed: the document nests too deeply"),
+        pytest.param(
+            b'{"ring": {"zmod": ' + b"9" * 5000 + b"}}", "cannot read spec file",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="no integer digit limit before Python 3.10.7",
+            ),
+        ),
     ],
-    ids=["invalid-utf8", "deep-json", "deep-ring"],
+    ids=["invalid-utf8", "deep-json", "deep-ring", "wide-int"],
 )
 def test_malformed_spec_file_exits_2(tmp_path, capsys, content, message):
-    # a byte that is not UTF-8, or nesting past the interpreter's recursion
-    # limit while parsing or validating, is bad input: exit 2, one error line
+    # a byte that is not UTF-8, nesting past the interpreter's recursion
+    # limit while parsing or validating, or an integer literal past its
+    # digit limit, is bad input: exit 2, one error line
     path = tmp_path / "malformed.json"
     path.write_bytes(content)
     assert main(["suite", "--spec", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "term",
+    [{"polyquot": {"p": 2**61 - 1, "f": [0, 1]}}, {"squarezero": {"p": 2**61 - 1, "k": 1}}],
+    ids=["polyquot", "squarezero"],
+)
+def test_large_prime_modulus_exits_2_at_the_cap(tmp_path, capsys, term):
+    # the cap is decided before trial division, which would run for minutes
+    spec = write_spec(tmp_path, {"ring": term})
+    with alarm(5, "a census on a modulus of 2^61 - 1"):
+        assert main(["census", "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert "exceeding cap 256" in err and err.count("\n") == 1
 
 
 def test_main_expect_pass_on_refuted(tmp_path, capsys):

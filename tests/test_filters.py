@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -39,9 +40,11 @@ from torsionlab.filters import (
 )
 from torsionlab.modules import free_module, submodule_lattice
 from torsionlab.rings import (
+    Ideal,
     build_ring,
     enumerate_ideals,
     ideal_from_generators,
+    ideal_lattice,
     identity_map,
     local_decomposition,
     localize_at_prime,
@@ -255,15 +258,31 @@ def test_least_member_rule_agrees_with_gabriel_check():
     assert accepted > 0
 
 
+def _catalog_filters() -> list[GabrielFilter]:
+    """Every Gabriel filter of every ring of the size <= 16 catalog."""
+    found = [f for term in ring_catalog(16) for f in enumerate_gabriel_filters(build_ring(term))]
+    assert len(found) == 130
+    return found
+
+
 def test_basis_matches_pairwise_scan():
-    # on every filter of the size <= 16 catalog, and on every small member
-    # set whether Gabriel or not
-    candidates = [(f.ring, f.members) for term in ring_catalog(16)
-                  for f in enumerate_gabriel_filters(build_ring(term))]
-    assert len(candidates) == 130
-    for ring, members in candidates + list(_small_member_sets()):
-        got = GabrielFilter(ring, frozenset(members)).basis
-        assert got == basis_by_pairwise_scan(members), (ring.label, members)
+    # on every filter of the size <= 16 catalog
+    for sigma in _catalog_filters():
+        assert sigma.basis == basis_by_pairwise_scan(sigma.members), sigma
+
+
+def test_members_read_off_the_least_member():
+    # a filter is kept as its least member b alone; its members are the
+    # ideals whose elements contain b's, in Ideal.sort_key order
+    for sigma in _catalog_filters():
+        assert [f.name for f in dataclasses.fields(sigma)] == ["ring", "least"]
+        lat = ideal_lattice(sigma.ring)
+        least = lat.sets[sigma.least]
+        oracle = [a for a in enumerate_ideals(sigma.ring) if least <= a.elements]
+        assert sigma.members == frozenset(oracle), sigma
+        assert sigma.sorted_members() == tuple(sorted(oracle, key=Ideal.sort_key)), sigma
+        assert sigma.member_indices() == {i for i, s in enumerate(lat.sets) if least <= s}
+        assert sigma.basis == (lat.ideals[sigma.least],)
 
 
 @pytest.mark.parametrize(

@@ -337,6 +337,25 @@ def test_decide_golden_refuted():
     assert "family" in got.reason
 
 
+def test_minimalization_counts_divisions_linearly(monkeypatch):
+    # s = x_v scales <x1, x[2+1k]> into about v peeled instances; minimalizing
+    # them tests each only against kept generators under its own variables
+    v, calls = 2000, 0
+    divides = Monomial.divides
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return divides(self, other)
+
+    monkeypatch.setattr(Monomial, "divides", counting)
+    ideal = monomial_ideal([mono(x1=1)], [TailFamily(Monomial.one(), 2)])
+    got = s_finite_decide(ideal, PrincipalMultSet(Monomial.variable(v)))
+    assert (got.verdict, got.power) == ("certified", 1)
+    assert got.prefix == (mono(x1=1), Monomial.variable(v))
+    assert calls < 10 * v
+
+
 def test_decide_finitely_generated_is_trivial():
     ideal = monomial_ideal([mono(x1=1, x2=2), mono(x3=1)])
     got = s_finite_decide(ideal, PrincipalMultSet(mono(x5=2)))

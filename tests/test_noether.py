@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import signal
 import weakref
 from itertools import product
 
@@ -49,6 +48,7 @@ from torsionlab.rings import (
 )
 
 from .helpers import (
+    alarm,
     canonical_certificates_by_scan,
     certificate_by_index_scan,
     sigma_principal_by_scan,
@@ -725,17 +725,9 @@ def test_growing_power_fails_almost_jansian(monkeypatch):
     three = rl.idx(ideal_of(ring, 3))
     rl._prod[three, three] = rl.top
 
-    def hang(signum, frame):
-        raise TimeoutError("the powers of (3) did not stabilize")
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(5)
-    try:
+    with alarm(5, "the powers of (3)"):
         lat = SubmoduleLattice(free_module(ring, 1))
         assert not _planted_suite(monkeypatch, ring, sigma, lat)["almost-jansian"]
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _flip_up_mask_bit(lat, i: int, j: int) -> None:
@@ -748,13 +740,8 @@ def test_carrier_violations_fail_a_theorem(monkeypatch):
     # under every filter: 82 runs; a TheoremViolation the flip raises in the
     # carrier checks fails a theorem instead of leaving theorem_suite (62
     # runs escaped before); the alarm turns a hang into a failure
-    def hang(signum, frame):
-        raise TimeoutError("a planted suite did not return")
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(30)
     failed = passed = 0
-    try:
+    with alarm(30, "a planted suite"):
         for n in (6, 4):
             ring = zmod(n)
             for sigma in enumerate_gabriel_filters(ring):
@@ -766,9 +753,6 @@ def test_carrier_violations_fail_a_theorem(monkeypatch):
                         flags = _planted_suite(monkeypatch, ring, sigma, lat)
                         failed += not all(flags.values())
                         passed += all(flags.values())
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert (failed, passed) == (80, 2)
 
 
@@ -785,13 +769,8 @@ def test_colon_row_plants_fail_a_theorem():
     # ring-level checks fails a theorem instead of leaving theorem_suite (159
     # runs escaped before, 152 with TheoremViolation and 7 with ValueError);
     # the alarm turns a hang into a failure
-    def hang(signum, frame):
-        raise TimeoutError("a planted suite did not return")
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(30)
     failed = passed = 0
-    try:
+    with alarm(30, "a planted suite"):
         for n in (6, 4):
             probe = ideal_lattice(zmod(n))
             for k in range(len(enumerate_gabriel_filters(probe.ring))):
@@ -804,9 +783,6 @@ def test_colon_row_plants_fail_a_theorem():
                     all_passed = theorem_suite(ring, sigma).all_passed
                     failed += not all_passed
                     passed += all_passed
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert (failed, passed) == (199, 137)
 
 

@@ -50,6 +50,7 @@ from torsionlab.rings import (
 
 from .helpers import (
     additive_closure_by_scan,
+    alarm,
     all_ideals_by_subset_scan,
     colon_by_scan,
     ideal_by_linear_combinations,
@@ -161,8 +162,25 @@ def test_construction_errors():
         poly_quotient(2, [1])
     with pytest.raises(InvalidModulus):
         poly_quotient(4, [0, 0, 1])
+    with pytest.raises(InvalidModulus):  # a modulus within the cap is tested for primality first
+        square_zero(16, 1, cap=16)
+    with pytest.raises(SizeCapExceeded, match="of size 169 exceeds cap 16"):
+        poly_quotient(13, [0, 0, 1], cap=16)
     with pytest.raises(ValueError):
         build_ring({"nonsense": 1})
+
+
+@pytest.mark.parametrize(
+    "build, shape", [(poly_quotient, [0, 1]), (square_zero, 1)], ids=["polyquot", "squarezero"]
+)
+def test_modulus_past_the_cap_is_rejected_before_trial_division(build, shape):
+    # the ring has at least p elements; trial division of the prime 2^61 - 1
+    # would take about 1.5e9 steps, and the alarm turns that hang into a failure
+    with alarm(5, f"{build.__name__} on 2^61 - 1"):
+        with pytest.raises(SizeCapExceeded, match="at least 2305843009213693951 elements"):
+            build(2**61 - 1, shape)
+    with pytest.raises(SizeCapExceeded):
+        build(18, shape, cap=16)  # not prime, yet past the cap
 
 
 @pytest.mark.parametrize("term", ring_catalog(12))
