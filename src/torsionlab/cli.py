@@ -36,7 +36,7 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
-from .errors import SpecPredicateError, SpecValidationError, WorkbenchError
+from .errors import InvalidArgument, SpecPredicateError, SpecValidationError, WorkbenchError
 from .filters import (
     GabrielFilter,
     enumerate_gabriel_filters,
@@ -75,6 +75,10 @@ from .rings import (
     prime_spectrum,
     ring_catalog,
 )
+
+# the largest variable index a spec may name: tail families are peeled up to
+# the largest variable mentioned, in time and memory linear in it
+VARIABLE_CAP = 2**15
 
 TASK_BY_COMMAND = {
     "inspect": "enumerate",
@@ -274,8 +278,16 @@ def build_filter(ring: FiniteRing, spec) -> GabrielFilter:
     return gabriel_closure(ring, seeds)
 
 
+def _variable(v: int | str) -> int:
+    """A variable index of the spec, as an int, if it is at most VARIABLE_CAP;
+    a decimal key is measured before it is converted."""
+    if len(str(v)) > len(str(VARIABLE_CAP)) or int(v) > VARIABLE_CAP:
+        raise InvalidArgument(f"variable index {v} exceeds the cap {VARIABLE_CAP}")
+    return int(v)
+
+
 def _parse_monomial(doc: dict) -> Monomial:
-    return Monomial.from_mapping(doc["vars"])
+    return Monomial.from_mapping({_variable(v): e for v, e in doc["vars"].items()})
 
 
 def _parse_monomial_ideal(doc: dict) -> MonomialIdeal:
@@ -283,7 +295,7 @@ def _parse_monomial_ideal(doc: dict) -> MonomialIdeal:
     families = [
         TailFamily(
             _parse_monomial(f["base"]),
-            f["start"],
+            _variable(f["start"]),
             f.get("step", 1),
             f.get("e", 1),
         )
@@ -297,8 +309,8 @@ def _parse_monomial_ideal(doc: dict) -> MonomialIdeal:
 def _parse_pattern(doc: dict) -> VariablePattern:
     tail = doc.get("tail")
     return VariablePattern(
-        finite=frozenset(doc.get("finite", [])),
-        tail_start=tail["start"] if tail else None,
+        finite=frozenset(map(_variable, doc.get("finite", []))),
+        tail_start=_variable(tail["start"]) if tail else None,
         tail_step=tail.get("step", 1) if tail else 1,
     )
 

@@ -3,7 +3,7 @@
 A module element is a coset of V inside U, indexed by its minimal vector
 representative; index 0 is always the zero coset.  Submodules of a module
 are plain frozensets of element indices.  :func:`submodule_lattice` gives
-every submodule a stable index and memoized colon/sum arithmetic, which
+every submodule a stable index and index-level colon/sum arithmetic, which
 makes the exhaustive suites cheap.  For A = ``free_module(ring, 1)`` it is
 the ring's ideal lattice: A's submodules are its ideals, and its coset index
 is the element index.  Any other module gets a :class:`SubmoduleLattice` on

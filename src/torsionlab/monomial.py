@@ -21,7 +21,7 @@ decisions read which finite candidates divide base*s^n from :func:`_absorbers`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import ceil, gcd
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidArgument, TailDisciplineViolation, TheoremViolation
@@ -357,7 +357,7 @@ def _absorbers(
                 boost = s.exp(v)
                 if not boost:
                     break
-                need = max(need, ceil(short / boost))
+                need = max(need, -(-short // boost))
         else:
             out.append((need, c))
     return out

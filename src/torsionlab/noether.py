@@ -42,7 +42,9 @@ test against them.  Suite and public predicates alike get them from
 ring, as the ring keeps its lattices, so all of a ring's filters share
 them and they are freed with the ring.  Like the lattice's own derived
 rows, they read a colon or sum entry once: a defect planted after the
-first read needs the ring's "suite_tables" entry dropped.
+first read needs the ring's "suite_tables" entry dropped.  The principal
+ideal aA that the Kaplansky criteria read is the ring lattice's own
+``cyclic[a]``, built with the lattice.
 """
 
 from __future__ import annotations
@@ -370,24 +372,17 @@ def sigma_principal_status(ideal: Ideal, sigma: GabrielFilter) -> SigmaPrincipal
         raise RingMismatch("ideal and filter live over different rings")
     rl = ideal_lattice(ideal.ring)
     members = sigma.member_indices()
-    witness, cert = _sigma_principal(rl, rl.idx(ideal), members, _principal_indices(rl))
+    witness, cert = _sigma_principal(rl, rl.idx(ideal), members)
     if cert is not None:
         cert = Certificate("totally_principal", (cert[0],), rl.ideals[cert[1]])
     return SigmaPrincipalStatus(witness is not None, witness, cert)
 
 
-def _principal_indices(rl) -> list[int]:
-    """Ring-lattice index of the principal ideal aA, for each element a."""
-    return [rl.index_by_mask[m] for m in rl.cyclic_masks]
-
-
-def _sigma_principal(
-    rl, i_idx: int, members: frozenset, principal: Sequence[int]
-) -> tuple[int | None, tuple[int, int] | None]:
-    """For I = rl.ideals[i]: the first a in I whose principal ideal has the
-    closure of I, and the first (a, h) with h = (aA : I) in the filter;
-    principal[a] is the index of aA."""
-    elements = sorted(rl.sets[i_idx])
+def _sigma_principal(rl, i_idx: int, members: frozenset) -> tuple[int | None, tuple | None]:
+    """For I = rl.ideals[i]: the first a in I whose principal ideal aA,
+    ring-lattice index rl.cyclic[a], has the closure of I, and the first
+    (a, h) with h = (aA : I) in the filter."""
+    elements, principal = sorted(rl.sets[i_idx]), rl.cyclic
     closure = rl.closure(i_idx, members)
     witness = next((a for a in elements if rl.closure(principal[a], members) == closure), None)
     colons = ((a, rl.pair_colon(principal[a], i_idx)) for a in elements)
@@ -579,16 +574,12 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
         except TheoremViolation as exc:
             t.check(False, "{}", exc)
 
-    # ring-level statements
-    principal_idx = _principal_indices(rl)
-
-    # (closure witness, certificate) of every ideal, as sigma_principal_status;
-    # the corollary reads the same statuses, so a violation here fails both
+    # ring-level statements: (closure witness, certificate) of every ideal, as
+    # sigma_principal_status; the corollary reads the same statuses, so a
+    # violation here fails both
     t = tallies["kaplansky-prime-criterion"]
     corollary = tallies["kaplansky-noetherian-corollary"]
-    principal_status = t.run(
-        lambda: [_sigma_principal(rl, i, members, principal_idx) for i in range(rl.n)]
-    )
+    principal_status = t.run(lambda: [_sigma_principal(rl, i, members) for i in range(rl.n)])
     if principal_status is None:
         for failed in (t, corollary):
             failed.check(False, "{}", t.counterexample)

@@ -13,19 +13,21 @@ Derived rings (quotients by an ideal, local factors) reuse the same
 representation but are never parsed from user input.
 
 :class:`SubobjectLattice` is the one lattice engine: it indexes the ideals
-of a ring or the submodules of a module and memoizes their arithmetic
-(sums, products, colons, order) and computes closures from it.  It
-reads two tables of the carrier, addition rows and orbit rows, and never
-calls element arithmetic.  Each sub-object also gets an int mask over the
-carrier, bit x set iff x is in it, so meets and the up-sets are mask
-operations, and a colon (N_i : x) is looked up by N_i & Ax in a memo per
-element x that every colon row shares.  Its own results are tables too:
-the colon matrix, whose row i and column j hold (N_i : N_j), and the
-up-sets as int bitmasks, from which sums, products and greedy generators
-are read.  :class:`IdealLattice` runs it on the ring's own addition and
-multiplication tables, once per ring; it is also the lattice of A as a
-module over itself.  :class:`torsionlab.modules.SubmoduleLattice` runs it on
-the coset rows of any other module.
+of a ring or the submodules of a module, answers each question of their
+arithmetic (sums, products, colons, order) one way, and computes closures
+from it.  It reads two tables of the carrier, addition rows and orbit
+rows, and never calls element arithmetic.  Each sub-object also gets an
+int mask over the carrier, bit x set iff x is in it, so meets and the
+up-sets are mask operations, and a colon (N_i : x) is looked up by N_i & Ax
+in a memo per element x that every colon row shares.  Its own results are
+tables too: the index of each cyclic Ax, from which principal and
+generated ideals are read; the colon matrix, whose row i and column j hold
+(N_i : N_j); and the up-sets as int bitmasks, from which sums, products
+and greedy generators are read.  :class:`IdealLattice` runs it on the
+ring's own addition and multiplication tables, once per ring; it is also
+the lattice of A as a module over itself.
+:class:`torsionlab.modules.SubmoduleLattice` runs it on the coset rows of
+any other module.
 """
 
 from __future__ import annotations
@@ -348,13 +350,13 @@ def _same_ring(a, b) -> None:
 
 
 class _Rows(dict):
-    """Table rows keyed by index, each built on its first read."""
+    """Table rows keyed by index or index pair, each built on its first read."""
 
     def __init__(self, build):
         super().__init__()
         self._build = build
 
-    def __missing__(self, key: int):
+    def __missing__(self, key):
         row = self[key] = self._build(key)
         return row
 
@@ -388,11 +390,10 @@ def _subgroup_sum(add, u: frozenset, c: frozenset) -> frozenset:
 
 
 def ideal_from_generators(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
-    """Smallest ideal containing the given elements."""
-    out = frozenset({ring.zero})
-    for g in gens:
-        out = _subgroup_sum(ring._add, out, principal_ideal(ring, g).elements)
-    return Ideal(ring, out)
+    """Smallest ideal containing the given elements: the join of their principal ideals."""
+    lat = ideal_lattice(ring)
+    principals = (lat.cyclic[_check_element(ring, g)] for g in gens)
+    return lat.ideals[reduce(lat.sum, principals, lat.zero)]
 
 
 def zero_ideal(ring: FiniteRing) -> Ideal:
@@ -411,9 +412,8 @@ def _check_element(carrier, x: int) -> int:
 
 
 def principal_ideal(ring: FiniteRing, x: int) -> Ideal:
-    _check_element(ring, x)
     lat = ideal_lattice(ring)
-    return lat.ideals[lat.index_by_mask[lat.cyclic_masks[x]]]
+    return lat.ideals[lat.cyclic[_check_element(ring, x)]]
 
 
 def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
@@ -618,19 +618,22 @@ class SubobjectLattice:
     returns an indexable row for each element will do.  Its sub-objects (the
     ideals of a ring, the submodules of a module) are the additive
     subgroups closed under the action.  They get stable indices, ordered by
-    cardinality and then by sorted elements; products with ideals, sums and
-    colons become memoized index lookups, and closures are read off the
-    memoized colon rows.  Colons are ideals, indexed in ``ring_lattice``,
-    the ideal lattice of the base ring.  Hot loops read the tables directly:
+    cardinality and then by sorted elements, and each question about them
+    is answered one way.  A sum is a join, the lowest common bit of two
+    up-set masks, computed on each call; a product with an ideal and the
+    next greedy generator's span are sums.  Products, colon rows, greedy
+    generators, up-sets and the colon and sum matrices are ``_Rows``
+    tables, each entry built on its first read, and closures are read off
+    the colon rows.  Colons are ideals, indexed in ``ring_lattice``, the
+    ideal lattice of the base ring.  Hot loops read the tables directly:
     ``colon_matrix()[i][j]`` is ``pair_colon(i, j)``, ``sum_matrix()[i][j]``
     is ``sum(i, j)``, and bit j of ``up_masks()[i]`` is ``leq(i, j)``.
 
     ``masks[i]`` has bit x set iff x is in N_i, and ``index_by_mask`` maps
-    it back to i, as ``index`` maps the element set.  The meet is one
-    lookup of ``masks[i] & masks[j]``; ``leq`` tests the element sets,
-    which is faster than the mask test for one pair.  A sum, a product
-    and the next greedy generator's span are joins, each the lowest common
-    bit of two up-set masks.
+    it back to i, as ``index`` maps the element set; ``cyclic[x]`` is the
+    index of Ax, the least sub-object holding x, and ``cyclic_masks[x]``
+    its mask.  The meet is one lookup of ``masks[i] & masks[j]``; ``leq``
+    tests the element sets, which is faster than the mask test for one pair.
     """
 
     def __init__(
@@ -647,22 +650,22 @@ class SubobjectLattice:
         self.masks = tuple(map(_mask, self.sets))
         self.index = {s: i for i, s in enumerate(self.sets)}
         self.index_by_mask = {m: i for i, m in enumerate(self.masks)}
-        # cyclic_masks[x] is the mask of Ax, the least sub-object holding x
-        self.cyclic_masks = [0] * size
+        self.cyclic = [0] * size
         seen = 0
-        for m in self.masks:
+        for i, m in enumerate(self.masks):
             for x in _bits(m & ~seen):
-                self.cyclic_masks[x] = m
+                self.cyclic[x] = i
             seen |= m
+        self.cyclic_masks = list(map(self.masks.__getitem__, self.cyclic))
         self.n = len(self.sets)
         self.zero = 0  # {0} is the one sub-object of size 1
         self.top = self.n - 1
-        self._colon_rows: dict[int, tuple[int, ...]] = {}
-        self._preimages: list[dict[int, int]] = []
+        self._colon_rows = _Rows(self._colon_row)
+        self._preimages: list[dict[int, int]] = [{} for _ in range(size)]
         self._colon_matrix = _Rows(self._colon_matrix_row)
         self._sum_matrix = _Rows(self._sum_matrix_row)
         self._min_gens = _Rows(self._greedy_gens)
-        self._prod: dict[tuple[int, int], int] = {}
+        self._prod = _Rows(self._product)  # keyed by (i, a)
         self._upsets = _Rows(lambda i: tuple(_bits(self.up_masks()[i])))
         self._up_masks: list[int] | None = None
         self._incl_pairs: list[tuple[int, int]] | None = None
@@ -818,8 +821,8 @@ class SubobjectLattice:
                     best_x = x
             grown = cur
             if best_x >= 0:  # else every element of N_i is in cur already
-                grown = self._join(cur, self.index_by_mask[cyclic_masks[best_x]])
-            if grown == cur:  # only wrong up-set or cyclic masks get here
+                grown = self.sum(cur, self.cyclic[best_x])
+            if grown == cur:  # only wrong up-set masks or cyclic tables get here
                 raise TheoremViolation(
                     f"greedy generators of {self.kind} stall: sub-object {cur} "
                     f"does not grow toward {i}"
@@ -829,16 +832,14 @@ class SubobjectLattice:
         return tuple(gens)
 
     def sum(self, i: int, j: int) -> int:
-        """Index of N_i + N_j."""
-        return self._sum_matrix[i][j]
+        """Index of N_i + N_j: the least common upper bound, which every
+        other one contains properly, so the lowest common up-set bit."""
+        up = self.up_masks()
+        common = up[i] & up[j]
+        return (common & -common).bit_length() - 1
 
     def sum_matrix(self) -> dict[int, tuple[int, ...]]:
-        """Row i, column j: the index of N_i + N_j.
-
-        Each row is built the first time it is read, from the up-set masks:
-        the sum is the least common upper bound, and every other one
-        contains it properly, so it has the smallest index among them.
-        """
+        """Row i, column j: ``sum(i, j)``; each row is built on its first read."""
         return self._sum_matrix
 
     def _sum_matrix_row(self, i: int) -> tuple[int, ...]:
@@ -849,44 +850,37 @@ class SubobjectLattice:
             out.append((common & -common).bit_length() - 1)
         return tuple(out)
 
-    def _join(self, i: int, j: int) -> int:
-        """Index of N_i + N_j, read off the up-set masks as a sum-matrix row is."""
-        up = self.up_masks()
-        common = up[i] & up[j]
-        return (common & -common).bit_length() - 1
-
     def inter(self, i: int, j: int) -> int:
         return self.index_by_mask[self.masks[i] & self.masks[j]]
 
     def prod(self, i: int, a: int) -> int:
         """Index of N_i * a for a ring-lattice ideal index a."""
-        key = (i, a)
-        if key not in self._prod:
-            ideal = self.ring_lattice.sets[a]
-            out = self.zero
-            for g in self.min_gens(i):
-                # g*a is a sub-object, so N_i * a is the sum of these pieces
-                piece = self.index[frozenset(map(self._orbit[g].__getitem__, ideal))]
-                out = self._join(out, piece)
-            self._prod[key] = out
-        return self._prod[key]
+        return self._prod[i, a]
+
+    def _product(self, key: tuple[int, int]) -> int:
+        i, a = key
+        ideal = self.ring_lattice.sets[a]
+        out = self.zero
+        for g in self.min_gens(i):
+            # g*a is a sub-object, so N_i * a is the sum of these pieces
+            out = self.sum(out, self.index[frozenset(map(self._orbit[g].__getitem__, ideal))])
+        return out
 
     def colon_row(self, i: int) -> tuple[int, ...]:
         """For each carrier element x, the ring-lattice index of (N_i : x).
 
         (N_i : x) is the preimage of N_i & Ax under a -> a*x, so a memo per x,
         shared by every row, looks it up by that mask."""
-        if i not in self._colon_rows:
-            if not self._preimages:
-                self._preimages = [{} for _ in range(self.size)]
-            keys = list(map(self.masks[i].__and__, self.cyclic_masks))
-            row = list(map(dict.get, self._preimages, keys))
-            in_sub, ring_elems = self.sets[i].__contains__, range(self.ring.size)
-            for x in [x for x, c in enumerate(row) if c is None]:
-                preimage = frozenset(compress(ring_elems, map(in_sub, self._orbit[x])))
-                row[x] = self._preimages[x][keys[x]] = self.ring_lattice.index[preimage]
-            self._colon_rows[i] = tuple(row)
         return self._colon_rows[i]
+
+    def _colon_row(self, i: int) -> tuple[int, ...]:
+        keys = list(map(self.masks[i].__and__, self.cyclic_masks))
+        row = list(map(dict.get, self._preimages, keys))
+        in_sub, ring_elems = self.sets[i].__contains__, range(self.ring.size)
+        for x in [x for x, c in enumerate(row) if c is None]:
+            preimage = frozenset(compress(ring_elems, map(in_sub, self._orbit[x])))
+            row[x] = self._preimages[x][keys[x]] = self.ring_lattice.index[preimage]
+        return tuple(row)
 
     def colon_matrix(self) -> dict[int, tuple[int, ...]]:
         """Row i, column j: the ring-lattice index of (N_i : N_j).

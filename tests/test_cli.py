@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import torsionlab
 from torsionlab import cli
-from torsionlab.cli import execute, main, render_json, validate_spec
+from torsionlab.cli import VARIABLE_CAP, execute, main, render_json, validate_spec
 from torsionlab.errors import (
     SpecPredicateError,
     SpecValidationError,
@@ -343,6 +343,46 @@ def test_large_prime_modulus_exits_2_at_the_cap(tmp_path, capsys, term):
         assert main(["census", "--spec", spec]) == 2
     err = capsys.readouterr().err
     assert "exceeding cap 256" in err and err.count("\n") == 1
+
+
+def _decide_doc(s_var, gen_var: int | str = 1, start: int = 2) -> dict:
+    """decide on <x_gen, x[start+1k]> under s = x_s."""
+    return {"params": {"op": "decide", "mult_set": {"s": {"vars": {str(s_var): 1}}},
+                       "ideal": {"gens": [{"vars": {str(gen_var): 1}}],
+                                 "families": [{"base": {"vars": {}}, "start": start}]}}}
+
+
+def _cohen_doc(pattern: dict) -> dict:
+    return {"params": {"op": "cohen", "mult_set": {"s": {"vars": {"1": 1}}}, "primes": [pattern]}}
+
+
+@pytest.mark.parametrize(
+    "doc, index",
+    [
+        (_decide_doc(10_000_000), "10000000"),
+        (_decide_doc(1, gen_var=VARIABLE_CAP + 1), str(VARIABLE_CAP + 1)),
+        (_decide_doc(1, start=VARIABLE_CAP + 1), str(VARIABLE_CAP + 1)),
+        (_decide_doc(1, gen_var="9" * 5000), "9" * 5000),
+        (_cohen_doc({"finite": [2, VARIABLE_CAP + 1]}), str(VARIABLE_CAP + 1)),
+        (_cohen_doc({"tail": {"start": VARIABLE_CAP + 1}}), str(VARIABLE_CAP + 1)),
+    ],
+    ids=["s-var", "gen-var", "family-start", "wide-key", "pattern-finite", "pattern-tail"],
+)
+def test_variable_index_past_the_cap_exits_2(tmp_path, capsys, doc, index):
+    # tail peeling costs time and memory linear in the largest variable
+    # index, so an index past the cap is bad input, named with the cap; a
+    # 5,000-digit key is measured before it is converted
+    with alarm(5, "a monomial spec past the variable cap"):
+        assert main(["monomial", "--spec", write_spec(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: variable index {index} exceeds the cap {VARIABLE_CAP}\n"
+    )
+
+
+def test_variable_index_at_the_cap_is_decided(tmp_path, capsys):
+    spec = write_spec(tmp_path, {**_decide_doc(VARIABLE_CAP), "format": "json"})
+    assert main(["monomial", "--spec", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["prefix"] == ["x1", f"x{VARIABLE_CAP}"]
 
 
 def test_main_expect_pass_on_refuted(tmp_path, capsys):

@@ -289,14 +289,16 @@ def test_mask_engine_matches_element_scans(rank):
 
 
 def test_greedy_gens_raise_when_the_join_stalls():
-    # planted: the cyclic mask of every x is taken from the last sub-object
-    # holding x (the whole carrier) instead of the first, so the first greedy
-    # step overshoots N_1 and the next join cannot grow; the guard must raise
-    # instead of looping, and the alarm turns a hang into a failure
+    # planted: the cyclic index and mask of every x are taken from the last
+    # sub-object holding x (the whole carrier) instead of the first, so the
+    # first greedy step overshoots N_1 and the next join cannot grow; the
+    # guard must raise instead of looping, and the alarm turns a hang into a
+    # failure
     lat = SubmoduleLattice(free_module(zmod(6), 1))
-    lat.cyclic_masks = [
-        next(m for m in reversed(lat.masks) if m >> x & 1) for x in range(lat.size)
+    lat.cyclic = [
+        next(i for i in reversed(range(lat.n)) if lat.masks[i] >> x & 1) for x in range(lat.size)
     ]
+    lat.cyclic_masks = [lat.masks[i] for i in lat.cyclic]
 
     def hang(signum, frame):
         raise TimeoutError("greedy generators did not return")

@@ -371,6 +371,19 @@ def test_decide_exhausted_on_tiny_budget():
     roomy = DecisionBudget(max_power=8, max_prefix=32)
     again = s_finite_decide(everything, PrincipalMultSet(mono(x1=1)), roomy)
     assert again.verdict == "certified" and again.power == 4
+    # exponents past a float's exact range, or any float's, need the exact
+    # power: x1^e is in the filter of s = x1 at power e, and <x1^e, x[2+1k]>
+    # is exhausted by the default budget (2^53 + 1 once read as 2^53, which
+    # the self-check rejected; 10^400 once overflowed)
+    for e in (2**53 + 1, 10**400):
+        gens, tail = [{"vars": {"1": e}}], [{"base": {"vars": {}}, "start": 2}]
+        for op, ideal, key, value in (
+            ("in_filter", {"gens": gens}, "power", e),
+            ("decide", {"gens": gens, "families": tail}, "verdict", "exhausted"),
+        ):
+            params = {"op": op, "mult_set": {"s": {"vars": {"1": 1}}}, "ideal": ideal}
+            report, code = execute({"task": "monomial-decide", "params": params})
+            assert (report["results"][key], code) == (value, 0)
 
 
 def test_refutation_witnesses():

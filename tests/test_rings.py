@@ -202,6 +202,20 @@ def test_ideal_from_generators_oracle(z12):
     assert combos == frozenset({0, 2, 4, 6, 8, 10})
     assert ideal_of(z12, 4, 6).elements == combos
 
+    # on every catalog ring, for no, one or two generators, the result is the
+    # lattice's own Ideal and holds exactly the linear combinations
+    for ring in map(build_ring, ring_catalog(12)):
+        ideals = enumerate_ideals(ring)
+        elems = range(ring.size)
+        for gens in [[]] + [[x] for x in elems] + [[x, y] for x in elems for y in elems if x < y]:
+            got = ideal_from_generators(ring, gens)
+            assert any(got is ideal for ideal in ideals)
+            assert got.elements == ideal_by_linear_combinations(ring, gens)
+
+    # the first generator outside the ring is the one named
+    with pytest.raises(InvalidArgument, match="^12 is not an element of Z/12$"):
+        ideal_from_generators(z12, [4, 12, -1])
+
 
 def test_ideal_sum_product_intersect(z12):
     i4, i6 = ideal_of(z12, 4), ideal_of(z12, 6)
