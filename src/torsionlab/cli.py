@@ -6,7 +6,10 @@ document validated strictly against the shipped schema; unknown fields are
 rejected.  Validation has a fast path and an error path.  The schema file
 is compiled once per process into a plain predicate, which decides
 validity; an accepted document returns at once, without importing
-jsonschema.  A rejected document goes to jsonschema's Draft 2020-12
+jsonschema.  Two schema shapes compile to lookups instead of trial runs:
+the ``if`` clauses on ``task`` and on ``params.op`` to a dict by value,
+and the type-disjoint ``oneOf`` of the ``filter`` grammar to a dispatch
+by type.  A rejected document goes to jsonschema's Draft 2020-12
 validator, imported and built on first need, and its first error by
 instance path words the rejection, so the schema file stays the only
 grammar and jsonschema the only author of an error text.  Reports render
@@ -108,9 +111,11 @@ _TYPES = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
     # as in jsonschema's Draft 2020-12: 1.0 is an integer and True is not
-    "integer": lambda x: not isinstance(x, bool)
+    "integer": lambda x: type(x) is int or not isinstance(x, bool)
     and (isinstance(x, int) or isinstance(x, float) and x.is_integer()),
 }
+# the Python types of the JSON type a oneOf branch requires by type, enum or const
+_PY_TYPES = {"object": (dict,), "array": (list,), "integer": (int, float), "string": (str,)}
 
 
 def _is_number(x) -> bool:
@@ -136,8 +141,8 @@ _KEYWORD_CHECKS = {
     "type": _of_type,
     "enum": lambda vs: _one_of_strings("enum", vs),
     "const": lambda v: _one_of_strings("const", [v]),
-    "minimum": lambda m: lambda x: not _is_number(x) or x >= m,
-    "maximum": lambda m: lambda x: not _is_number(x) or x <= m,
+    "minimum": lambda m: lambda x: x >= m if type(x) is int else not _is_number(x) or x >= m,
+    "maximum": lambda m: lambda x: x <= m if type(x) is int else not _is_number(x) or x <= m,
     "required": lambda keys: lambda x: not isinstance(x, dict) or all(k in x for k in keys),
     "minProperties": lambda n: lambda x: not isinstance(x, dict) or len(x) >= n,
     "maxProperties": lambda n: lambda x: not isinstance(x, dict) or len(x) <= n,
@@ -160,12 +165,32 @@ def _every(checks: list):
     return every
 
 
+def _selector(clause):
+    """(key, values) when clause is an ``if``/``then`` whose ``if`` tests one
+    property against a string ``const`` or ``enum``, with or without
+    ``required`` of that property; else None."""
+    cond = clause.get("if") if isinstance(clause, dict) and clause.keys() <= {"if", "then"} else {}
+    tests = cond.get("properties") if isinstance(cond, dict) else None
+    if not isinstance(tests, dict) or len(tests) != 1:
+        return None
+    (key, test), = tests.items()
+    single = isinstance(test, dict) and len(test) == 1
+    values = test.get("enum", [test.get("const")]) if single else ()
+    shapes = ({"properties": tests}, {"properties": tests, "required": [key]})
+    if cond in shapes and isinstance(values, list) and all(isinstance(v, str) for v in values):
+        return key, values
+    return None
+
+
 def _compile_schema(root: dict):
     """Compile a JSON Schema into a predicate that agrees with jsonschema's
     ``Draft202012Validator(root).is_valid``.  Only the keywords the spec
     schema uses are known; any other keyword or type, a non-string ``enum``
     or ``const`` value, or a ``$ref`` that is not a local ``$defs`` entry
-    raises SpecPredicateError, so a schema edit is never silently ignored."""
+    raises SpecPredicateError, so a schema edit is never silently ignored.
+    An ``allOf`` of ``if`` clauses on one property's string values (``task``,
+    ``op``) looks up the ``then`` checks a value selects, and a ``oneOf`` of
+    branches requiring distinct types (``filter``) runs one branch by type."""
     defs: dict = {}
 
     def ref(pointer: str):
@@ -189,7 +214,7 @@ def _compile_schema(root: dict):
         def members(x) -> bool:
             # a member meets its property and every pattern it matches, or else extra
             for k, v in (x.items() if isinstance(x, dict) else ()):
-                hits = [check for search, check in pats if search(k)] if pats else []
+                hits = [check for search, check in pats if search(k)]
                 if k in props:
                     hits.append(props[k])
                 for check in hits or (extra,):
@@ -197,22 +222,54 @@ def _compile_schema(root: dict):
                         return False
             return True
 
+        def named(x) -> bool:
+            # without patterns, a member meets its property, or else extra
+            for k, v in (x.items() if isinstance(x, dict) else ()):
+                if not props.get(k, extra)(v):
+                    return False
+            return True
+
         if props or pats or "additionalProperties" in node:
-            checks.append(members)
+            checks.append(members if pats else named)
         if "items" in node:
             item = compile_(node["items"])
             checks.append(lambda x: not isinstance(x, list) or all(map(item, x)))
         if "$ref" in node:
             checks.append(ref(node["$ref"]))
         if "allOf" in node:
-            checks.append(_every([compile_(t) for t in node["allOf"]]))
+            checks.append(dispatch_if(node["allOf"], _every([compile_(t) for t in node["allOf"]])))
         if "oneOf" in node:
             branches = [compile_(t) for t in node["oneOf"]]
-            checks.append(lambda x: sum(branch(x) for branch in branches) == 1)
+            kinds = [t.get("type", "string" if "enum" in t or "const" in t else None)
+                     if isinstance(t, dict) else None for t in node["oneOf"]]
+            by_type = {} if None in kinds or len(set(kinds)) < len(kinds) else {
+                py: branch for kind, branch in zip(kinds, branches) for py in _PY_TYPES[kind]}
+            # with distinct types only the instance's branch can hold; a bool or subclass is counted
+            checks.append(lambda x: by_type[type(x)](x) if type(x) in by_type
+                          else sum(branch(x) for branch in branches) == 1)
         if "if" in node:
             cond, then = compile_(node["if"]), compile_(node.get("then", True))
             checks.append(lambda x: not cond(x) or then(x))
         return _every(checks)
+
+    def dispatch_if(clauses: list, every):
+        # every, as a lookup when each clause is an if on one key's string values
+        selectors = [_selector(c) for c in clauses]
+        if None in selectors or len({key for key, _ in selectors}) != 1:
+            return every
+        key, thens = selectors[0][0], [compile_(c.get("then", True)) for c in clauses]
+        selected = {v: _every([t for (_, vs), t in zip(selectors, thens) if v in vs])
+                    for _, vs in selectors for v in vs}
+
+        def dispatch(x) -> bool:
+            # on a missing key or a non-object an if holds vacuously, and on a
+            # non-string value it fails, so the clauses run as written
+            v = x.get(key) if isinstance(x, dict) else None
+            if not isinstance(v, str):
+                return every(x)
+            return v not in selected or selected[v](x)
+
+        return dispatch
 
     predicate = compile_(root)
     defs.update((name, compile_(node)) for name, node in root.get("$defs", {}).items())
@@ -510,12 +567,17 @@ _RUNNERS = {
 
 
 def _schema_ints(x):
-    """x with every integral float made an int; strings and ints are kept uncalled."""
-    if isinstance(x, dict):
-        return {k: v if isinstance(v, (str, int)) else _schema_ints(v) for k, v in x.items()}
-    if isinstance(x, list):
-        return [v if isinstance(v, (str, int)) else _schema_ints(v) for v in x]
-    return int(x) if isinstance(x, float) and x.is_integer() else x
+    """x with every integral float made an int; x itself, and each subtree,
+    when it holds none, so a document written with ints is not copied."""
+    if not isinstance(x, (dict, list)):
+        return int(x) if isinstance(x, float) and x.is_integer() else x
+    out = x
+    for k, v in (x.items() if isinstance(x, dict) else enumerate(x)):
+        if type(v) is not str and type(v) is not int and (w := _schema_ints(v)) is not v:
+            if out is x:
+                out = x.copy()
+            out[k] = w
+    return out
 
 
 def execute(doc: dict, cap: int = DEFAULT_SIZE_CAP, budget: DecisionBudget = DecisionBudget(),
@@ -647,6 +709,12 @@ def render_text(report: dict, elapsed_ms: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+def non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torsionlab",
@@ -660,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "json"], default=None)
         p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP,
                        help="carrier size cap (default %(default)s)")
-        p.add_argument("--budget", type=int, default=8,
+        p.add_argument("--budget", type=non_negative_int, default=8,
                        help="max certified power for monomial decisions")
         p.add_argument("--expect-pass", action="store_true",
                        help="exit 1 on refuted or exhausted decisions")

@@ -451,6 +451,17 @@ def test_main_cap_flag(tmp_path, capsys):
     spec = write_spec(tmp_path, {"ring": {"zmod": 20}})
     assert main(["census", "--spec", spec, "--cap", "16"]) == 2
     assert "cap" in capsys.readouterr().err
+    # a budget of 0 certifies <x1> under powers(x1) at power 0; a negative
+    # one is a usage error, not a decision exhausted at every power
+    doc = {"params": {"op": "decide", "mult_set": {"s": {"vars": {"1": 1}}},
+                      "ideal": {"gens": [{"vars": {"1": 1}}]}}}
+    spec = write_spec(tmp_path, doc, "decide.json")
+    assert main(["monomial", "--spec", spec, "--budget", "0", "--expect-pass"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["monomial", "--spec", spec, "--budget", "-1", "--expect-pass"])
+    assert info.value.code == 2
+    assert "argument --budget: must be at least 0, got -1" in capsys.readouterr().err
 
 
 def test_main_json_format(tmp_path, capsys):
@@ -639,8 +650,13 @@ def test_integers_given_as_floats_run_as_ints(doc):
     # the report echo the document as given
     floated = _as_floats(doc)
     assert repr(floated) != repr(doc)
+    # a document without floats is read as given, not copied, so no runner
+    # may change what it reads
+    assert cli._schema_ints(doc) is doc
+    given, given_floated = repr(doc), repr(floated)
     report, code = execute(floated)
     expected, expected_code = execute(doc)
+    assert repr(floated) == given_floated and repr(doc) == given
     assert code == expected_code
     assert report["results"] == expected["results"]
     assert report["counterexamples"] == expected["counterexamples"]
@@ -752,11 +768,38 @@ def test_compiled_predicate_agrees_with_jsonschema():
         ({"minItems": 1, "maxItems": 2, "items": {"type": "array"}}, [[], [[]], [[], [], []], [1], {}]),
         ({"if": {"required": ["a"]}, "then": {"maxProperties": 1}}, [{}, {"a": 1}, {"a": 1, "b": 2}, {"b": 1, "c": 2}]),
         ({"allOf": [{"type": "object"}, {"minProperties": 1}]}, [{}, {"a": 1}, []]),
+        # if clauses on one key's const, two naming "a": a lookup by value
+        ({"allOf": [
+            {"if": {"properties": {"k": {"const": "a"}}}, "then": {"required": ["x"]}},
+            {"if": {"properties": {"k": {"const": "b"}}},
+             "then": {"type": "object", "maxProperties": 3}},
+            {"if": {"properties": {"k": {"const": "a"}}}, "then": {"minProperties": 3}},
+        ]}, [{}, {"x": 1}, {"x": 1, "y": 2, "z": 3}, {"k": 1}, {"k": ["a"]}, {"k": None},
+             {"k": "c"}, 5, "a", [], None, {"k": "a", "x": 1}, {"k": "a", "x": 1, "y": 2},
+             {"k": "a", "y": 1, "z": 2}, {"k": "b"}, {"k": "b", "x": 1, "y": 2, "z": 3}]),
+        # the same with required of the key, and an enum
+        ({"allOf": [
+            {"if": {"required": ["op"], "properties": {"op": {"enum": ["a", "b"]}}},
+             "then": {"type": "object", "required": ["x"]}},
+            {"if": {"required": ["op"], "properties": {"op": {"const": "c"}}},
+             "then": {"required": ["y"]}},
+        ]}, [{}, {"x": 1}, {"op": "a"}, {"op": "b", "x": 1}, {"op": "c"}, {"op": "c", "y": 1},
+             {"op": "d"}, {"op": 1}, 3, "a", []]),
+        # branches of distinct types: a dispatch by type
+        ({"oneOf": [{"enum": ["a", "b"]}, {"type": "object", "required": ["k"]},
+                    {"type": "array", "minItems": 1}]},
+         ["a", "c", {"k": 1}, {}, [1], [], 1, 1.0, 1.5, True, None]),
+        ({"oneOf": [{"type": "integer", "minimum": 2}, {"const": "a"}]},
+         [2, 2.0, 1, 1.0, 2.5, True, "a", "b", None, {}]),
+        # two object branches overlap, so they are counted
+        ({"oneOf": [{"type": "object", "required": ["a"]}, {"type": "object", "required": ["b"]}]},
+         [{"a": 1}, {"b": 1}, {"a": 1, "b": 2}, {}, [], "a"]),
     ],
 )
 def test_compiled_keywords_match_jsonschema(schema, instances):
-    # edge cases the shipped schema cannot show: bounds without a type and
-    # overlapping oneOf branches
+    # edge cases the shipped schema cannot show: bounds without a type,
+    # overlapping oneOf branches, and the vacuous and shared if clauses of a
+    # lookup by value
     predicate = cli._compile_schema(schema)
     validator = jsonschema.Draft202012Validator(schema)
     assert [predicate(x) for x in instances] == [validator.is_valid(x) for x in instances]
