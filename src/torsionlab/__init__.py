@@ -53,11 +53,9 @@ from .filters import (
     induced_filter,
     is_closed,
     is_dense,
-    is_totally_torsion,
     jansian_status,
     lambda_filter,
     meet_decomposition_check,
-    meet_filters,
     spec_partition,
     torsion_class_report,
     torsion_submodule,
@@ -66,11 +64,8 @@ from .filters import (
 from .modules import (
     FiniteModule,
     SubmoduleLattice,
-    element_annihilator,
     free_module,
     is_submodule,
-    module_annihilator,
-    module_from_ideal,
     span,
     submodule_lattice,
 )
@@ -91,7 +86,6 @@ from .monomial import (
     in_filter,
     member,
     monomial_ideal,
-    refutation_witnesses,
     s_finite_decide,
     saturation,
     scale,
@@ -102,13 +96,10 @@ from .noether import (
     SuiteReport,
     TheoremResult,
     closure_colon_witness,
-    is_upper_closed,
     quotient_transfer_check,
     sigma_principal_status,
     tfg_certificate,
     theorem_suite,
-    totally_torsion_certificate,
-    unique_maximal_check,
     upper_closure,
     verify_certificate,
 )

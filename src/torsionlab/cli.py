@@ -63,7 +63,6 @@ from .monomial import (
     almost_jansian_principal,
     cohen_scan,
     in_filter,
-    monomial_ideal,
     s_finite_decide,
     saturation,
 )
@@ -143,7 +142,7 @@ _KEYWORD_CHECKS = {
     "const": lambda v: _one_of_strings("const", [v]),
     "minimum": lambda m: lambda x: x >= m if type(x) is int else not _is_number(x) or x >= m,
     "maximum": lambda m: lambda x: x <= m if type(x) is int else not _is_number(x) or x <= m,
-    "required": lambda keys: lambda x: not isinstance(x, dict) or all(k in x for k in keys),
+    "required": lambda ks: lambda x, ks=frozenset(ks): not isinstance(x, dict) or x.keys() >= ks,
     "minProperties": lambda n: lambda x: not isinstance(x, dict) or len(x) >= n,
     "maxProperties": lambda n: lambda x: not isinstance(x, dict) or len(x) <= n,
     "minItems": lambda n: lambda x: not isinstance(x, list) or len(x) >= n,

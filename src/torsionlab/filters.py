@@ -30,7 +30,6 @@ from .errors import (
 from .modules import (
     FiniteModule,
     is_submodule,
-    module_annihilator,
     submodule_lattice,
 )
 from .rings import (
@@ -232,18 +231,6 @@ def improper_filter(ring: FiniteRing) -> GabrielFilter:
     return _checked_filter(ring, enumerate_ideals(ring), "improper_filter")
 
 
-def meet_filters(filters: Sequence[GabrielFilter]) -> GabrielFilter:
-    """Intersection of the member sets; the meet of the torsion theories."""
-    if not filters:
-        raise ValueError("meet of an empty filter list")
-    ring = filters[0].ring
-    for f in filters[1:]:
-        if f.ring is not ring:
-            raise RingMismatch("meet needs filters over one ring")
-    members = frozenset.intersection(*(f.members for f in filters))
-    return _checked_filter(ring, members, "meet_filters")
-
-
 def enumerate_gabriel_filters(ring: FiniteRing) -> tuple[GabrielFilter, ...]:
     """Every Gabriel filter on the ring.
 
@@ -304,19 +291,6 @@ def ideal_closure(ideal: Ideal, sigma: GabrielFilter) -> Ideal:
     _require_same_ring(ideal, sigma)
     lat = ideal_lattice(ideal.ring)
     return lat.ideals[lat.closure(lat.idx(ideal), sigma.member_indices())]
-
-
-def is_totally_torsion(
-    module: FiniteModule, sigma: GabrielFilter
-) -> tuple[bool, Ideal]:
-    """Whether one filter ideal kills the whole module.
-
-    Returns the module annihilator either way: it is the largest possible
-    witness, so the module is totally torsion iff it lies in the filter.
-    """
-    _require_same_ring(module, sigma)
-    ann = module_annihilator(module)
-    return ann in sigma.members, ann
 
 
 # ---------------------------------------------------------------------------

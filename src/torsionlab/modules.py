@@ -21,10 +21,9 @@ from itertools import repeat
 from operator import add, getitem, mul
 from typing import Iterable
 
-from .errors import NotASubmodule, RingMismatch, SizeCapExceeded
+from .errors import NotASubmodule, SizeCapExceeded
 from .rings import (
     FiniteRing,
-    Ideal,
     SubobjectLattice,
     _Rows,
     _check_element,
@@ -128,40 +127,6 @@ class FiniteModule:
     def __repr__(self) -> str:
         return f"FiniteModule({self.label}, size={self.size})"
 
-    # -- derived modules -----------------------------------------------------
-
-    def submodule_module(self, indices: Iterable[int]) -> "FiniteModule":
-        """The submodule spanned by the given element indices, as a module."""
-        indices = frozenset(indices)
-        if not is_submodule(self, indices):
-            raise NotASubmodule("index set is not a submodule")
-        u = frozenset(v for i in indices for v in self.elements[i])
-        return FiniteModule(
-            self.ring, self.rank, u, self.carrier_v,
-            f"{self.label}|sub", _checked=True,
-        )
-
-    def quotient_module(self, indices: Iterable[int]) -> "FiniteModule":
-        """The quotient by the submodule given as element indices."""
-        indices = frozenset(indices)
-        if not is_submodule(self, indices):
-            raise NotASubmodule("index set is not a submodule")
-        v = frozenset(vec for i in indices for vec in self.elements[i])
-        return FiniteModule(
-            self.ring, self.rank, self.carrier_u, v,
-            f"{self.label}|quo", _checked=True,
-        )
-
-    def direct_sum(self, other: "FiniteModule") -> "FiniteModule":
-        if self.ring is not other.ring:
-            raise RingMismatch("direct sum needs a common base ring")
-        u = frozenset(a + b for a in self.carrier_u for b in other.carrier_u)
-        v = frozenset(a + b for a in self.carrier_v for b in other.carrier_v)
-        return FiniteModule(
-            self.ring, self.rank + other.rank, u, v,
-            f"{self.label}(+){other.label}", _checked=True,
-        )
-
 
 def _vec_add(ring: FiniteRing, a: Vector, b: Vector) -> Vector:
     return tuple(map(getitem, map(ring._add.__getitem__, a), b))
@@ -204,17 +169,6 @@ def free_module(ring: FiniteRing, rank: int) -> FiniteModule:
     return ring._cache[key]
 
 
-def module_from_ideal(ideal: Ideal) -> FiniteModule:
-    """An ideal viewed as a module over its ring."""
-    ring = ideal.ring
-    return FiniteModule(
-        ring, 1,
-        frozenset((x,) for x in ideal.elements),
-        frozenset({(ring.zero,)}),
-        f"{ring.label}|{ideal.label}", _checked=True,
-    )
-
-
 def is_submodule(module: FiniteModule, indices: frozenset) -> bool:
     if module.zero not in indices:
         return False
@@ -226,28 +180,6 @@ def is_submodule(module: FiniteModule, indices: frozenset) -> bool:
             if module.scalar(r, i) not in indices:
                 return False
     return True
-
-
-def element_annihilator(module: FiniteModule, i: int) -> Ideal:
-    """The ideal (0 : m) for the element with index i."""
-    ring = module.ring
-    _check_element(module, i)
-    return Ideal(
-        ring,
-        frozenset(a for a in range(ring.size) if module.scalar(a, i) == module.zero),
-    )
-
-
-def module_annihilator(module: FiniteModule, indices: Iterable[int] | None = None) -> Ideal:
-    """The ideal killing every listed element (defaults to the whole module)."""
-    ring = module.ring
-    idx = module.all_indices() if indices is None else indices
-    out = frozenset(range(ring.size))
-    for i in idx:
-        out = out & element_annihilator(module, i).elements
-        if len(out) == 1:
-            break
-    return Ideal(ring, out)
 
 
 def span(module: FiniteModule, gens: Iterable[int]) -> frozenset:

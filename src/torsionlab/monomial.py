@@ -8,9 +8,9 @@ containment and finiteness decisions exactly decidable: beyond a computed
 horizon a family instance b*x_v^e can only be divided by something that
 divides b, or by another family instance aligned at the same v, and both
 tests are finite.  Whatever moves a tail past a floor (scaling, saturation,
-variable primes, the containment horizon, refutation witnesses) uses one
-restart rule, :meth:`TailFamily.peel`: the instances up to the floor become
-finite generators and the family restarts at its first aligned variable past it.
+variable primes, the containment horizon) uses one restart rule,
+:meth:`TailFamily.peel`: the instances up to the floor become finite
+generators and the family restarts at its first aligned variable past it.
 
 The multiplicative sets here are the powers of a single monomial s; the
 saturation of an ideal by s is obtained by zeroing the s-supported
@@ -402,44 +402,6 @@ def s_finite_decide(
     if power > budget.max_power or len(prefix) > budget.max_prefix:
         return Decision(verdict="exhausted", budget=budget)
     return Decision(verdict="certified", power=power, prefix=prefix)
-
-
-def refutation_witnesses(
-    ideal: MonomialIdeal,
-    mult_set: PrincipalMultSet,
-    powers: Sequence[int] = (0, 1, 2, 3, 4, 5),
-) -> list[tuple[int, Monomial]]:
-    """Explicit scaled instances outside the best finite prefix, per power.
-
-    Only meaningful for refuted inputs: recomputes the refuting family and,
-    for each requested power n, exhibits an instance base*s^n*x_v^e at a
-    variable v beyond every candidate, so nothing finite can divide it.
-    """
-    s = mult_set.s
-    refuting = None
-    absorbed: list[Monomial] = []
-    for fam in ideal.families:
-        absorbers = _absorbers(ideal, fam.base, s)
-        if absorbers:
-            absorbed.extend(c for _, c in absorbers)
-        elif refuting is None:
-            refuting = fam
-    if refuting is None:
-        raise ValueError("ideal is not refuted: every family is absorbable")
-    prefix = monomial_ideal(tuple(ideal.gens) + tuple(absorbed))
-    beyond = max(
-        max((g.max_var() for g in prefix.gens), default=0),
-        ideal.max_mentioned_var(),
-        s.max_var(),
-    )
-    out = []
-    for n in powers:
-        _, rest = refuting.peel(beyond + n * refuting.step)
-        witness = rest.instance(rest.start).mul(s.power(n))
-        if member(prefix, witness):
-            raise TheoremViolation("refutation witness unexpectedly absorbed")
-        out.append((n, witness))
-    return out
 
 
 # ---------------------------------------------------------------------------

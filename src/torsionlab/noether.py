@@ -94,7 +94,7 @@ from .rings import (
 class Certificate:
     """Witness (H, h): generators for H <= N and a filter ideal with N*h <= H."""
 
-    kind: str  # totally_fg | totally_principal | totally_torsion
+    kind: str  # totally_fg | totally_principal
     subobject_generators: tuple
     filter_ideal: Ideal
 
@@ -228,32 +228,6 @@ def verify_certificate(
     return True, None
 
 
-def totally_torsion_certificate(
-    module: FiniteModule, sub: frozenset, sigma: GabrielFilter
-) -> Certificate:
-    """Certificate with H = 0: the annihilator of N taken as the filter ideal.
-
-    The annihilator is the largest ideal killing N, so the submodule is
-    totally torsion iff this certificate exists.
-    """
-    lat, _, ann = _totally_torsion(module, sub, sigma)
-    return Certificate("totally_torsion", (), lat.ring_lattice.ideals[ann])
-
-
-def _totally_torsion(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) -> tuple:
-    """(lattice, N, (0 : N)) as indices; (0 : N) must lie in the filter."""
-    _require_same_ring(module, sigma)
-    lat = submodule_lattice(module)
-    n_idx = lat.idx(sub)
-    ann = lat.pair_colon(lat.zero, n_idx)
-    if ann not in sigma.member_indices():
-        raise PreconditionFailed(
-            f"submodule is not totally torsion: annihilator "
-            f"{lat.ring_lattice.ideals[ann].label} outside {sigma.label}"
-        )
-    return lat, n_idx, ann
-
-
 def closure_colon_witness(
     module: FiniteModule, sub: frozenset, sigma: GabrielFilter
 ) -> Ideal:
@@ -310,35 +284,6 @@ def _upper_closure(tables: _LatticeTables, family: Sequence[int], members: froze
     return found
 
 
-def is_upper_closed(
-    module: FiniteModule, family: Sequence[frozenset], sigma: GabrielFilter
-) -> bool:
-    return set(upper_closure(module, family, sigma)) == set(family)
-
-
-def unique_maximal_check(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) -> bool:
-    """Biconditional: the upper closure of {N} has one maximal element iff
-    the closure of N belongs to it.  Always true; a mismatch raises."""
-    _require_same_ring(module, sigma)
-    lat = submodule_lattice(module)
-    members = sigma.member_indices()
-    n_idx = lat.idx(sub)
-    upper = _upper_closure(_lattice_tables(lat), (n_idx,), members)
-    maximal = lat.maximal(_bits(upper))
-    if not _unique_maximal(lat, n_idx, members, upper, maximal):
-        raise TheoremViolation(
-            f"unique-maximal biconditional failed on {module.label} for "
-            f"N={sorted(sub)} under {sigma.label}: maximal={maximal}, "
-            f"closure-in-family={len(maximal) != 1}"  # the sides differ
-        )
-    return True
-
-
-def _unique_maximal(lat, n_idx: int, members: frozenset, upper: int, maxima: list) -> bool:
-    """The biconditional for N_n, given its upper closure mask and its maxima."""
-    return (len(maxima) == 1) == bool(upper >> lat.closure(n_idx, members) & 1)
-
-
 def quotient_transfer_check(
     module: FiniteModule, t_sub: frozenset, sigma: GabrielFilter
 ) -> bool:
@@ -349,8 +294,17 @@ def quotient_transfer_check(
     h_bar = (N + T : M + T), h <= h_bar carries stability to the image pair,
     and h_bar*ann(T) <= h brings it back.  Neither reads the filter, which
     only has to hold ann(T), as filters are closed upward and under products.
+    T must be totally torsion: (0 : T) must lie in the filter.
     """
-    lat, t_idx, _ = _totally_torsion(module, t_sub, sigma)
+    _require_same_ring(module, sigma)
+    lat = submodule_lattice(module)
+    t_idx = lat.idx(t_sub)
+    ann = lat.pair_colon(lat.zero, t_idx)
+    if ann not in sigma.member_indices():
+        raise PreconditionFailed(
+            f"submodule is not totally torsion: annihilator "
+            f"{lat.ring_lattice.ideals[ann].label} outside {sigma.label}"
+        )
     return _lattice_tables(lat).transfers[t_idx]
 
 
@@ -562,8 +516,8 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
 
             # unique maximal element iff the closure joins the upper closure
             t = tallies["unique-maximal"]
-            for n_idx in range(lat.n):
-                ok = _unique_maximal(lat, n_idx, members, upper[n_idx], maxima[upper[n_idx]])
+            for n_idx, fam in enumerate(upper):
+                ok = (len(maxima[fam]) == 1) == bool(fam >> lat.closure(n_idx, members) & 1)
                 t.check(ok, "{}: N={}", where, n_idx)
 
             # quotients by totally torsion submodules preserve stability data

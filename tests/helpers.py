@@ -13,6 +13,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from torsionlab.filters import gabriel_check
+from torsionlab.modules import FiniteModule
 from torsionlab.rings import (
     FiniteRing,
     Ideal,
@@ -196,6 +197,13 @@ def additive_closure_by_scan(ring: FiniteRing, seed: set) -> frozenset:
         if not more:
             return frozenset(out)
         out |= more
+
+
+def subquotient(free, u, v, label: str):
+    """U/V for submodules V <= U of a free module, given as its element
+    indices, built by the public constructor, which checks both carriers."""
+    carrier_u, carrier_v = (frozenset(free.reps[i] for i in s) for s in (u, v))
+    return FiniteModule(free.ring, free.rank, carrier_u, carrier_v, label)
 
 
 @lru_cache(maxsize=4)

@@ -794,6 +794,8 @@ def test_compiled_predicate_agrees_with_jsonschema():
         # two object branches overlap, so they are counted
         ({"oneOf": [{"type": "object", "required": ["a"]}, {"type": "object", "required": ["b"]}]},
          [{"a": 1}, {"b": 1}, {"a": 1, "b": 2}, {}, [], "a"]),
+        # required of two keys: a subset test on the object's keys
+        ({"required": ["a", "b"]}, [{"a": 1, "b": 2, "c": 3}, {"b": 1}, {}, ["a", "b"], None]),
     ],
 )
 def test_compiled_keywords_match_jsonschema(schema, instances):

@@ -28,11 +28,9 @@ from torsionlab.filters import (
     induced_filter,
     is_closed,
     is_dense,
-    is_totally_torsion,
     jansian_status,
     lambda_filter,
     meet_decomposition_check,
-    meet_filters,
     spec_partition,
     torsion_class_report,
     torsion_submodule,
@@ -58,6 +56,7 @@ from .helpers import (
     basis_by_pairwise_scan,
     gabriel_filters_by_subset_scan,
     gabriel_filters_by_upset_check,
+    subquotient,
 )
 
 
@@ -183,17 +182,6 @@ def test_filter_from_prime(z12):
     assert len(filter_from_prime(f5, ideal_from_generators(f5, [])).members) == 1
     with pytest.raises(NotPrime):
         filter_from_prime(z12, ideal_of(z12, 6))
-
-
-def test_meet_filters(z12):
-    s2 = filter_from_prime(z12, ideal_of(z12, 2))
-    s3 = filter_from_prime(z12, ideal_of(z12, 3))
-    met = meet_filters([s2, s3])
-    assert members_of(met) == {frozenset(range(12))}
-    assert meet_filters([s2]).members == s2.members
-    assert meet_filters([s2, improper_filter(z12)]).members == s2.members
-    with pytest.raises(RingMismatch):
-        meet_filters([s2, trivial_filter(zmod(6))])
 
 
 def test_enumerate_gabriel_filters_counts(z12):
@@ -378,19 +366,6 @@ def test_ideal_closure(z12):
     assert ideal_closure(ideal_of(z12, 6), sigma).elements == frozenset({0, 2, 4, 6, 8, 10})
 
 
-def test_is_totally_torsion(z12):
-    m = free_module(z12, 1)
-    sigma = filter_from_mult_set(z12, [1, 3, 9])
-    sub = m.submodule_module(frozenset({0, 4, 8}))
-    holds, witness = is_totally_torsion(sub, sigma)
-    assert holds and witness.elements == frozenset({0, 3, 6, 9})
-    holds, witness = is_totally_torsion(m, sigma)
-    assert not holds and witness.elements == frozenset({0})
-    zero = m.submodule_module(frozenset({0}))
-    holds, witness = is_totally_torsion(zero, sigma)
-    assert holds and witness.elements == frozenset(range(12))
-
-
 # -- spectrum partition ----------------------------------------------------------
 
 
@@ -519,5 +494,5 @@ def test_radical_quotient_is_torsionfree(z12):
     m = free_module(z12, 1)
     for sigma in enumerate_gabriel_filters(z12):
         radical = torsion_submodule(m, sigma)
-        quotient = m.quotient_module(radical)
+        quotient = subquotient(m, range(12), radical, f"Z/12 / t(Z/12) under {sigma.label}")
         assert torsion_submodule(quotient, sigma) == frozenset({quotient.zero})

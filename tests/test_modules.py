@@ -6,16 +6,13 @@ import signal
 
 import pytest
 
-from torsionlab.errors import InvalidArgument, NotASubmodule, RingMismatch, TheoremViolation
+from torsionlab.errors import InvalidArgument, NotASubmodule, TheoremViolation
 from torsionlab.filters import closure, enumerate_gabriel_filters, lambda_filter
 from torsionlab.modules import (
     FiniteModule,
     SubmoduleLattice,
-    element_annihilator,
     free_module,
     is_submodule,
-    module_annihilator,
-    module_from_ideal,
     span,
     submodule_lattice,
 )
@@ -23,7 +20,6 @@ from torsionlab.noether import upper_closure
 from torsionlab.rings import (
     build_ring,
     enumerate_ideals,
-    ideal_from_generators,
     ideal_lattice,
     local_decomposition,
     minimal_generators,
@@ -41,6 +37,7 @@ from .helpers import (
     module_sum_by_scan,
     pair_colon_by_scan,
     scalar_table,
+    subquotient,
 )
 
 
@@ -66,33 +63,6 @@ def test_free_rank_two_arithmetic(z12):
     assert m.reps[m.scalar(2, i)] == (2, 4)
 
 
-def test_submodule_and_quotient(z12):
-    m = free_module(z12, 1)
-    sub = frozenset({0, 4, 8})
-    assert is_submodule(m, sub)
-    s = m.submodule_module(sub)
-    assert s.size == 3
-    q = m.quotient_module(sub)
-    assert q.size == 4
-    with pytest.raises(NotASubmodule):
-        m.submodule_module(frozenset({0, 5}))
-
-
-def test_direct_sum(z12):
-    a = free_module(z12, 1)
-    s = a.direct_sum(a)
-    assert s.size == 144
-    with pytest.raises(RingMismatch):
-        a.direct_sum(free_module(zmod(6), 1))
-
-
-def test_annihilators(z12):
-    m = free_module(z12, 1)
-    assert element_annihilator(m, 4).elements == frozenset({0, 3, 6, 9})
-    sub = m.submodule_module(frozenset({0, 4, 8}))
-    assert module_annihilator(sub).elements == frozenset({0, 3, 6, 9})
-
-
 def test_span(z12):
     m = free_module(z12, 1)
     assert span(m, [4]) == frozenset({0, 4, 8})
@@ -107,8 +77,6 @@ def test_element_arguments_are_range_checked(x):
     m = free_module(zmod(4), 1)
     with pytest.raises(InvalidArgument, match=rf"^{x} is not an element of Z/4$"):
         span(m, [x])
-    with pytest.raises(InvalidArgument, match=rf"^{x} is not an element of Z/4$"):
-        element_annihilator(m, x)
     assert x not in m.orbit_rows
 
 
@@ -163,7 +131,7 @@ def test_lattice_of_a_is_the_ideal_lattice():
         assert submodule_lattice(free_module(ring, 1)) is ideal_lattice(ring)
         assert type(submodule_lattice(free_module(ring, 2))) is SubmoduleLattice
     ring = zmod(6)
-    other = module_from_ideal(ideal_from_generators(ring, [1]))
+    other = subquotient(free_module(ring, 1), range(6), {0}, "Z/6")
     assert type(submodule_lattice(other)) is SubmoduleLattice
     assert submodule_lattice(other).sets == ideal_lattice(ring).sets
 
@@ -353,11 +321,11 @@ def test_rows_match_element_arithmetic():
         assert lat._add is a2.add_rows and lat._orbit is a2.orbit_rows
         mid = lat.submodules[lat.n // 2]
         assert 0 < lat.n // 2 < lat.top
-        quo, sub = a2.quotient_module(mid), a2.submodule_module(mid)
-        modules = [free_module(ring, 0), a1, a2, quo, sub, a1.direct_sum(quo)]
+        quo = subquotient(a2, range(a2.size), mid, "A^2/N")
+        modules = [free_module(ring, 0), a1, a2, quo, subquotient(a2, mid, {0}, "N")]
         proper = [i for i in enumerate_ideals(ring) if 1 < len(i.elements) < ring.size]
         if proper:
-            modules.append(module_from_ideal(proper[0]))
+            modules.append(subquotient(a1, proper[0].elements, {0}, proper[0].label))
         for m in modules:
             for w in range(m.size):
                 expected = [
@@ -376,7 +344,7 @@ def test_rows_match_element_arithmetic():
 def test_element_level_code_builds_no_rows():
     ring = build_ring({"zmod": 8})
     m = free_module(ring, 2)
-    quo = m.quotient_module(frozenset({0, m.scalar(4, 1)}))
+    quo = subquotient(m, range(m.size), {0, m.scalar(4, 1)}, "A^2/4e")
     for module in (m, quo):
         for sub in (frozenset({0}), frozenset(range(module.size))):
             assert is_submodule(module, sub)
@@ -480,16 +448,9 @@ def test_inclusion_pairs_and_chains(z12):
     assert len(chains) == 3
 
 
-def test_module_from_ideal(z12):
-    i = ideal_from_generators(z12, [4])
-    m = module_from_ideal(i)
-    assert m.size == 3
-    assert module_annihilator(m).elements == frozenset({0, 3, 6, 9})
-
-
 def test_module_axioms_on_cosets(z12):
     # scalar action laws on coset arithmetic, exhaustively on a subquotient
-    m = free_module(z12, 1).quotient_module(frozenset({0, 6}))
+    m = subquotient(free_module(z12, 1), range(12), {0, 6}, "Z/12 / (6)")
     ring = m.ring
     for a in ring.elements():
         for b in ring.elements():

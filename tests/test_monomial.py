@@ -25,7 +25,6 @@ from torsionlab.monomial import (
     in_filter,
     member,
     monomial_ideal,
-    refutation_witnesses,
     s_finite_decide,
     saturation,
     scale,
@@ -384,16 +383,6 @@ def test_decide_exhausted_on_tiny_budget():
             params = {"op": op, "mult_set": {"s": {"vars": {"1": 1}}}, "ideal": ideal}
             report, code = execute({"task": "monomial-decide", "params": params})
             assert (report["results"][key], code) == (value, 0)
-
-
-def test_refutation_witnesses():
-    shifted = MonomialIdeal(families=(TailFamily(Monomial.one(), 2, 1, 1),))
-    mult = PrincipalMultSet(mono(x1=1))
-    witnesses = refutation_witnesses(shifted, mult)
-    assert len(witnesses) == 6
-    for n, w in witnesses:
-        assert member(shifted, w) or n > 0  # instance times s^n stays in I*s^n
-        assert w.max_var() > 1
 
 
 @settings(max_examples=60, deadline=None)

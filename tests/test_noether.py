@@ -30,7 +30,6 @@ from torsionlab.noether import (
     sigma_principal_status,
     tfg_certificate,
     theorem_suite,
-    unique_maximal_check,
     upper_closure,
     verify_certificate,
 )
@@ -181,30 +180,7 @@ def test_upper_closure_examples(z12, sigma39):
     assert set(again) == set(got)
 
 
-def test_unique_maximal_check(z12, sigma39):
-    m = free_module(z12, 1)
-    assert unique_maximal_check(m, frozenset({0, 6}), sigma39)
-    assert unique_maximal_check(m, frozenset({0, 4, 8}), sigma39)
-    lat = submodule_lattice(m)
-    for sigma in enumerate_gabriel_filters(z12):
-        for sub in lat.submodules:
-            assert unique_maximal_check(m, sub, sigma)
-
-
 # -- quotient transfer ---------------------------------------------------------------
-
-
-def test_totally_torsion_certificate(z12, sigma39):
-    from torsionlab.noether import totally_torsion_certificate
-
-    m = free_module(z12, 1)
-    cert = totally_torsion_certificate(m, frozenset({0, 4, 8}), sigma39)
-    assert cert.kind == "totally_torsion"
-    assert cert.subobject_generators == ()
-    assert cert.filter_ideal.elements == frozenset({0, 3, 6, 9})
-    assert verify_certificate(m, frozenset({0, 4, 8}), sigma39, cert) == (True, None)
-    with pytest.raises(PreconditionFailed):
-        totally_torsion_certificate(m, frozenset({0, 6}), sigma39)
 
 
 def test_quotient_transfer_examples(z12, sigma39):
@@ -219,14 +195,9 @@ def test_quotient_transfer_all_torsion_submodules(z12):
     m = free_module(z12, 2)
     lat = submodule_lattice(m)
     for sigma in enumerate_gabriel_filters(z12):
-        from torsionlab.modules import element_annihilator
-
         for sub in lat.submodules:
-            ann = frozenset(range(12))
-            for e in sub:
-                ann = ann & element_annihilator(m, e).elements
-            from torsionlab.rings import Ideal
-
+            # ann(T), by a scan of the scalar action
+            ann = frozenset(a for a in range(12) if all(m.scalar(a, e) == m.zero for e in sub))
             if Ideal(z12, ann) in sigma.members:
                 assert quotient_transfer_check(m, sub, sigma)
 
@@ -298,15 +269,6 @@ def test_suite_report_dict_shape(z12):
         "almost-jansian",
         "induced-filters",
     ]
-
-
-def test_is_upper_closed_fixpoint(z12, sigma39):
-    from torsionlab.noether import is_upper_closed
-
-    m = free_module(z12, 1)
-    fam = upper_closure(m, [frozenset({0, 6})], sigma39)
-    assert is_upper_closed(m, fam, sigma39)
-    assert not is_upper_closed(m, [frozenset({0, 6})], sigma39)
 
 
 def _planted_transfer(monkeypatch, row: int, col: int, value: int) -> bool:
