@@ -45,13 +45,32 @@ rows, they read a colon or sum entry once: a defect planted after the
 first read needs the ring's "suite_tables" entry dropped.  The principal
 ideal aA that the Kaplansky criteria read is the ring lattice's own
 ``cyclic[a]``, built with the lattice.
+
+On a ring A with two or more local factors, A = prod A_i
+(``local_decomposition``), the transfer verdicts and quotient images of
+the lattice of A or A^2 are read from the factors' own tables, those of
+``submodule_lattice(free_module(A_i, r))``, kept on the factor rings that
+A caches.  That happens only behind a check, made once per lattice on the
+first read (``_LatticeTables.factor_view``): N -> (pi_i N) and
+J -> (pi_i J), computed on elements, are bijections onto the products of
+the factors' lattices and ideal lattices, the zero goes to the zeros, and
+every colon-matrix row, sum-matrix row and up-set is the product of the
+factors' entries; passing[ann] is compared once per annihilator.  When a
+comparison fails, or the factor side raises, the direct loops run as on a
+local ring.  Why the verdicts are the same: with product tables, a pair
+(N, M) fails for T exactly when some factor pair (N_i, M_i) fails for
+T_i, and every factor pair extends to a product pair; likewise the image
+colons over every N are the product of the factors' image sets.  A defect
+planted in the tables of A is therefore never read from the factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from itertools import product, starmap
+from math import prod
+from operator import add, and_, or_
 from typing import Sequence
 
 from .errors import (
@@ -101,7 +120,15 @@ class Certificate:
 
 class _LatticeTables:
     """The filter-independent tables of one lattice, each entry built on its
-    first read; see the module docstring for who holds them."""
+    first read; see the module docstring for who holds them.
+
+    ``factor_view``, built once on its first read, is the local factors'
+    view of a lattice of A or A^2 whose tables are products of the
+    factors' tables, or None.  With it, transfers[T] is the AND of the
+    factors' verdicts at the images T_i, when passing[ann(T)] is a product
+    too, and quotient_images[(H, S)] is the mask of the ideals whose factor
+    tuples lie in the product of the factors' image sets; without it both
+    are the direct loops below."""
 
     def __init__(self, lat):
         self.lat = lat
@@ -144,9 +171,28 @@ class _LatticeTables:
         return tuple(groups.items())
 
     def _quotient_images(self, pair: tuple[int, int]) -> int:
+        view = self.factor_view
+        if view is not None:
+            return view.quotient_images(pair)
         cm, sm = self.lat.colon_matrix(), self.lat.sum_matrix()
         h_idx, s_idx = pair
         return _mask({cm[image_h][image_s] for image_h, image_s in zip(sm[h_idx], sm[s_idx])})
+
+    @cached_property
+    def factor_view(self) -> _FactorView | None:
+        """The local factors' view of this lattice of A^r, for a ring A with
+        two or more local factors whose tables pass the product check; None
+        otherwise, or when the factor side raises."""
+        lat = self.lat
+        module = free_module(lat.ring, 1) if lat is lat.ring_lattice else lat.module
+        if module is not lat.ring._cache.get(("free_module", module.rank)):
+            return None  # a module other than A^r
+        try:
+            factors = local_decomposition(lat.ring)
+            view = _FactorView(self, module, factors) if len(factors) > 1 else None
+        except (TheoremViolation, LookupError):
+            return None
+        return view if view is not None and view.holds else None
 
     @cached_property
     def pair_colons(self) -> list[tuple[tuple[int, ...], list[int]]]:
@@ -165,16 +211,21 @@ class _LatticeTables:
 
     def _transfers(self, t_idx: int) -> bool:
         """Whether, for T = N_t, each image colon h_bar = (N + T : M + T) of a
-        pair N <= M lies in passing[ann(T)][h], h = (N : M); images[h] holds them."""
+        pair N <= M lies in passing[ann(T)][h], h = (N : M); images[h] holds them.
+        Read from the factors when the factor view holds and passing[ann(T)]
+        is the product of the factors' rows."""
         cm = self.lat.colon_matrix()
+        ann = cm[self.lat.zero][t_idx]
+        view = self.factor_view
+        if view is not None and view.passing_holds[ann]:
+            return view.transfers(t_idx)
         plus_t = self.lat.sum_matrix()[t_idx]
         images = [0] * self.lat.ring_lattice.n
         for n_idx, (ups, colons) in enumerate(self.pair_colons):
             row_bar = cm[plus_t[n_idx]]
             for m_idx, h in zip(ups, colons):
                 images[h] |= 1 << row_bar[plus_t[m_idx]]
-        passing = self.passing[cm[self.lat.zero][t_idx]]
-        return not any(bars & ~ok for bars, ok in zip(images, passing))
+        return not any(bars & ~ok for bars, ok in zip(images, self.passing[ann]))
 
 
 def _lattice_tables(lat) -> _LatticeTables:
@@ -182,6 +233,142 @@ def _lattice_tables(lat) -> _LatticeTables:
     if "suite_tables" not in lat.ring._cache:
         lat.ring._cache["suite_tables"] = _Rows(_LatticeTables)
     return lat.ring._cache["suite_tables"][lat]
+
+
+def _product_map(sets, elem_images, targets) -> tuple[list, list, list] | None:
+    """(phi, weights, inverse): phi[i][n] is the index in targets[i] of the
+    image of sets[n] under elem_images[i]; the code sum_i phi[i][n]*weights[i]
+    is mixed radix on the targets' sizes, first target most significant, and
+    inverse[code] is n.  None unless the code is a bijection onto the product
+    of the targets."""
+    phi = []
+    for elems, target in zip(elem_images, targets):
+        bits = [1 << e for e in elems]
+        phi.append([target.index_by_mask[reduce(or_, map(bits.__getitem__, s))] for s in sets])
+    sizes = [target.n for target in targets]
+    weights = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+    inverse = [-1] * prod(sizes)
+    codes = reduce(partial(map, add), ([x * w for x in p] for p, w in zip(phi, weights)))
+    for n, code in enumerate(codes):
+        inverse[code] = n
+    if len(sets) != len(inverse) or -1 in inverse:
+        return None
+    return phi, weights, inverse
+
+
+def _fibres(p: list[int], size: int) -> list[int]:
+    """fibres[k]: the mask of the indices n with p[n] == k."""
+    fibres = [0] * size
+    for n, k in enumerate(p):
+        fibres[k] |= 1 << n
+    return fibres
+
+
+def _lift(fibres: list[int], indices) -> int:
+    """The mask of the product indices whose image lies in a set of factor indices."""
+    return reduce(or_, map(fibres.__getitem__, indices), 0)
+
+
+def _is_mask_of(indices: tuple[int, ...], mask: int) -> bool:
+    """Whether the indices are the set bits of the mask, each once: k powers
+    of two sum to a number with k set bits only when no two are equal."""
+    return _mask(indices) == mask and len(indices) == mask.bit_count()
+
+
+def _rows_are_products(rows, factor_rows, phi, weights, inverse) -> bool:
+    """Whether rows[n][m] == inverse[sum_i weights[i] * factor_rows[i][a][b]]
+    with a, b = phi[i][n], phi[i][m], for every n and m.  Each factor row is
+    lifted to the product's columns once per factor index, and a product row
+    is the sum of one lifted row per factor."""
+    lifted = [
+        [list(map([w * x for x in row].__getitem__, p)) for row in f_rows]
+        for f_rows, p, w in zip(factor_rows, phi, weights)
+    ]
+    for n, row in enumerate(rows):
+        codes = reduce(partial(map, add), [lift[p[n]] for lift, p in zip(lifted, phi)])
+        if row != tuple(map(inverse.__getitem__, codes)):
+            return False
+    return True
+
+
+class _FactorView:
+    """The tables of the local factors A_i of A, for the lattice of A^r, and
+    the maps N -> (pi_i N) and J -> (pi_i J) onto the products of the
+    factors' lattices and ideal lattices.  ``holds`` says whether the tables
+    the transfer loop reads, except passing, are the products of the
+    factors' tables; ``passing_holds[ann]`` says it for passing[ann]."""
+
+    def __init__(self, tables: _LatticeTables, module: FiniteModule, factors: list):
+        lat = tables.lat
+        self.tables, self.rl = tables, lat.ring_lattice
+        maps = [proj.mapping for _, proj in factors]
+        modules = [free_module(ring, module.rank) for ring, _ in factors]
+        self.factors = [_lattice_tables(submodule_lattice(m)) for m in modules]
+        flats = [t.lat for t in self.factors]
+        images = [
+            [m._coset_of[tuple(map(mapping.__getitem__, v))] for v in module.reps]
+            for m, mapping in zip(modules, maps)
+        ]
+        on_lat = _product_map(lat.sets, images, flats)
+        on_rl = _product_map(self.rl.sets, maps, [f.ring_lattice for f in flats])
+        if on_lat is None or on_rl is None:
+            self.holds = False
+            return
+        self.phi, weights, inverse = on_lat
+        self.psi, ring_weights, ring_inverse = on_rl
+        # ring_lifts[i][mask]: the ideals whose i-th image is in a mask of the factor's ideals
+        self.ring_lifts = [
+            _Rows(lambda mask, fibres=_fibres(p, f.ring_lattice.n): _lift(fibres, _bits(mask)))
+            for p, f in zip(self.psi, flats)
+        ]
+        cm, sm = lat.colon_matrix(), lat.sum_matrix()
+        up_sets = []
+        for p, f in zip(self.phi, flats):
+            fibres = _fibres(p, f.n)
+            up_sets.append([_lift(fibres, f.upset(k)) for k in range(f.n)])
+        self.holds = (
+            all(p[lat.zero] == f.zero for p, f in zip(self.phi, flats))
+            and all(
+                _is_mask_of(lat.upset(n), reduce(and_, [u[p[n]] for u, p in zip(up_sets, self.phi)]))
+                for n in range(lat.n)
+            )
+            and _rows_are_products(
+                [cm[n] for n in range(lat.n)],
+                [[f.colon_matrix()[k] for k in range(f.n)] for f in flats],
+                self.phi, ring_weights, ring_inverse,
+            )
+            and _rows_are_products(
+                [sm[n] for n in range(lat.n)],
+                [[f.sum_matrix()[k] for k in range(f.n)] for f in flats],
+                self.phi, weights, inverse,
+            )
+        )
+        self.passing_holds = _Rows(self._passing_holds)
+
+    def _passing_holds(self, ann: int) -> bool:
+        # a violation raised by this lattice's passing[ann] would be raised
+        # the same way by the direct loop, which reads it last
+        lifted = [
+            list(map(lifts.__getitem__, t.passing[p[ann]]))
+            for t, p, lifts in zip(self.factors, self.psi, self.ring_lifts)
+        ]
+        expected = [
+            reduce(and_, [row[p[h]] for row, p in zip(lifted, self.psi)]) for h in range(self.rl.n)
+        ]
+        return self.tables.passing[ann] == expected
+
+    def transfers(self, t_idx: int) -> bool:
+        """The AND of the factors' transfer verdicts at the images T_i of T."""
+        return all(t.transfers[p[t_idx]] for t, p in zip(self.factors, self.phi))
+
+    def quotient_images(self, pair: tuple[int, int]) -> int:
+        """The mask of the ideals whose factor tuples lie in the product of
+        the factors' image sets at (pi_i H, pi_i S)."""
+        h_idx, s_idx = pair
+        return reduce(and_, [
+            lifts[t.quotient_images[p[h_idx], p[s_idx]]]
+            for t, p, lifts in zip(self.factors, self.phi, self.ring_lifts)
+        ])
 
 
 def tfg_certificate(module: FiniteModule, sub: frozenset, sigma: GabrielFilter) -> Certificate:

@@ -137,9 +137,13 @@ def test_lattice_of_a_is_the_ideal_lattice():
 
 
 def test_reports_build_one_coset_lattice_per_ring(monkeypatch):
-    # a sweep builds a coset-row lattice for A^2 only, one per ring, and a
-    # certificate on A builds none
+    # a sweep builds a coset-row lattice for A^2 only: one per ring, and one
+    # per local factor of a ring with two or more, whose A^2 lattice the
+    # quotient-transfer tables read; a certificate on A builds none
     from torsionlab import cli
+
+    factor_counts = [len(local_decomposition(build_ring(term))) for term in ring_catalog(10)]
+    expected = sum(1 + (k if k > 1 else 0) for k in factor_counts)
 
     built = []
     init = SubmoduleLattice.__init__
@@ -150,7 +154,7 @@ def test_reports_build_one_coset_lattice_per_ring(monkeypatch):
 
     monkeypatch.setattr(SubmoduleLattice, "__init__", counted)
     report, code = cli.execute({"task": "suite", "params": {"sweep_max_size": 10}})
-    assert code == 0 and len(built) == len(ring_catalog(10)) == 22
+    assert code == 0 and len(built) == expected == 39
     assert all(label.endswith("^2") for label in built)
     built.clear()
     _, code = cli.execute({

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import random
 import weakref
 from itertools import product
 
@@ -40,6 +41,7 @@ from torsionlab.rings import (
     enumerate_ideals,
     ideal_from_generators,
     ideal_lattice,
+    local_decomposition,
     prime_spectrum,
     ring_catalog,
     square_zero,
@@ -891,3 +893,135 @@ def test_sweep_reports_equal_lone_calls():
         filters = enumerate_gabriel_filters(ring)
         lone.extend(theorem_suite(ring, sigma).to_dict() for sigma in filters)
     assert report["results"]["reports"] == lone
+
+
+# -- product-ring tables read from the local factors --------------------------------------
+
+
+def _no_factor_view(mp) -> None:
+    """Make every _LatticeTables built from now on run the direct loops."""
+    mp.setattr(noether._LatticeTables, "factor_view", None)
+
+
+def test_factor_view_is_taken_and_agrees_with_direct_loops(monkeypatch):
+    # on A and A^2 of every catalog ring with two or more local factors, the
+    # factor view exists, so a silent fallback fails here, and the verdicts
+    # and image masks it gives equal those of the direct loops
+    rings = [build_ring(term) for term in ring_catalog(12)]
+    lattices = [
+        submodule_lattice(free_module(ring, rank))
+        for ring in rings if len(local_decomposition(ring)) > 1
+        for rank in (1, 2)
+    ]
+    assert len(lattices) == 24
+    with_view = []
+    for lat in lattices:
+        tables = noether._LatticeTables(lat)
+        assert tables.factor_view is not None, lat.kind
+        with_view.append(tables)
+    _no_factor_view(monkeypatch)
+    for lat, tables in zip(lattices, with_view):
+        direct = noether._LatticeTables(lat)
+        assert direct.factor_view is None
+        for t_idx in range(lat.n):
+            assert tables.transfers[t_idx] == direct.transfers[t_idx], (lat.kind, t_idx)
+        for pair in lat.inclusion_pairs():
+            assert tables.quotient_images[pair] == direct.quotient_images[pair], (lat.kind, pair)
+
+
+def _planted_report(mp, name: str) -> dict:
+    """theorem_suite's report on a fresh Z/n after the named plant: a plant
+    of _PLANTS goes into a private rank-1 lattice handed to the suite, a
+    retired theorem's plant into the ring's own ideal lattice."""
+    n, make_filter, plant = _ROUTE_PLANTS[name]
+    ring = zmod(n)
+    sigma = make_filter(ring)
+    if name in _PLANTS:
+        lat = SubmoduleLattice(free_module(ring, 1))
+        real = noether.submodule_lattice
+        mp.setattr(
+            noether, "submodule_lattice",
+            lambda m: lat if m.ring is ring and m.rank == 1 else real(m),
+        )
+    else:
+        lat = ideal_lattice(ring)
+    plant(mp, ring, lat)
+    return theorem_suite(ring, sigma).to_dict()
+
+
+_ROUTE_PLANTS = {
+    **_PLANTS,
+    "retired-ring-sum": (6, _outside_3, _plant_ring_sum),
+    "retired-up-mask": (6, _outside_3, _plant_up_mask),
+}
+
+
+@pytest.mark.parametrize("name", _ROUTE_PLANTS)
+def test_plants_give_one_report_with_and_without_factor_view(monkeypatch, name):
+    # every planted defect of the suite tests gives the same report, failures
+    # and counterexamples included, whether or not product-ring tables may be
+    # read from the factors; the spectrum plant makes local_decomposition
+    # raise, which must leave the direct loops to run every transfer check
+    with monkeypatch.context() as mp:
+        with_view = _planted_report(mp, name)
+    with monkeypatch.context() as mp:
+        _no_factor_view(mp)
+        direct = _planted_report(mp, name)
+    assert not with_view["all_passed"]
+    assert with_view == direct
+    if name == "meet-decomposition":
+        transfer = with_view["theorems"][noether._THEOREM_ORDER.index(
+            "totally-torsion-quotient-transfer")]
+        assert transfer["instances_checked"] == 7
+
+
+@pytest.mark.parametrize("term, failing_expected", [
+    ({"zmod": 6}, 193), ({"product": [{"zmod": 2}, {"zmod": 4}]}, 148),
+], ids=["Z/6", "Z/2 x Z/4"])
+def test_a2_plants_give_one_report_with_and_without_factor_view(
+    monkeypatch, term, failing_expected
+):
+    # a seeded sample of 400 single-entry colon-matrix and sum-matrix plants
+    # on the A^2 lattice, each under a seeded filter: the check rejects every
+    # one, and the suite report is the same on both routes, so the factor
+    # check hides no plant; failing_expected counts the reports with a failed
+    # theorem.  Each plant is undone after its runs, and the A^2 tables, the
+    # only ones that read the planted entry, are dropped before each run
+    ring = build_ring(term)
+    lat = submodule_lattice(free_module(ring, 2))
+    filters = enumerate_gabriel_filters(ring)
+    rng = random.Random(7)
+    plants = []
+    while len(plants) < 400:
+        kind = rng.choice(("colon", "sum"))
+        row, col = rng.randrange(lat.n), rng.randrange(lat.n)
+        if kind == "colon":
+            value, old = rng.randrange(lat.ring_lattice.n), lat.pair_colon(row, col)
+        else:
+            value, old = rng.randrange(lat.n), lat.sum(row, col)
+        if value != old:
+            plants.append((kind, row, col, value, rng.choice(filters)))
+
+    def report(sigma) -> tuple[dict, bool]:
+        """The suite report, and whether the A^2 tables took the factor view."""
+        ring._cache.get("suite_tables", {}).pop(lat, None)
+        result = theorem_suite(ring, sigma).to_dict()
+        return result, noether._lattice_tables(lat).factor_view is not None
+
+    for sigma in filters:  # unplanted, every report passes and the view is taken
+        result, taken = report(sigma)
+        assert result["all_passed"] and taken
+    failing = 0
+    with alarm(60, "the A^2 plant scan"):
+        for kind, row, col, value, sigma in plants:
+            rows = lat.colon_matrix() if kind == "colon" else lat.sum_matrix()
+            original = rows[row]
+            rows[row] = original[:col] + (value,) + original[col + 1:]
+            with_view, taken = report(sigma)
+            with monkeypatch.context() as mp:
+                _no_factor_view(mp)
+                direct, _ = report(sigma)
+            rows[row] = original
+            assert not taken and with_view == direct, (kind, row, col, value)
+            failing += not with_view["all_passed"]
+    assert failing == failing_expected
