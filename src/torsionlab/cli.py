@@ -486,7 +486,7 @@ def _run_census(doc: dict, cap: int, budget: DecisionBudget) -> tuple[dict, list
         "ring": ring.label,
         "gabriel_filters": len(filters),
         "filters": [
-            {"basis": [b.label for b in f.basis], "members": len(f.members)}
+            {"basis": [b.label for b in f.basis], "members": len(f.member_indices())}
             for f in filters
         ],
     }

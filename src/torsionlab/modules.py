@@ -6,11 +6,13 @@ are plain frozensets of element indices.  :func:`submodule_lattice` gives
 every submodule a stable index and index-level colon/sum arithmetic, which
 makes the exhaustive suites cheap.  For A = ``free_module(ring, 1)`` it is
 the ring's ideal lattice: A's submodules are its ideals, and its coset index
-is the element index.  Any other module gets a :class:`SubmoduleLattice` on
-its addition and orbit rows, each built on first read from the ring's
-tables: an addition row adds the representatives coordinate by coordinate
-on rows of ``ring._add`` and looks each sum up by its integer code, an
-orbit row zips rows of ``ring._mul``.  Element-level code (``add_elem``,
+is the element index, so A's addition and orbit rows are the ring's own
+tables ``ring._add`` and ``ring._mul``.  Any other module gets a
+:class:`SubmoduleLattice` on its addition and orbit rows, each built on
+first read from the ring's tables: an addition row adds the
+representatives coordinate by coordinate on rows of ``ring._add`` and
+looks each sum up by its integer code, an orbit row zips rows of
+``ring._mul``.  Element-level code (``add_elem``,
 ``scalar``, :func:`is_submodule`) maps over single ring rows per vector
 and builds no module rows.
 """
@@ -41,7 +43,8 @@ class FiniteModule:
 
     ``add_rows[w][x]`` is the index of x + w and ``orbit_rows[x][a]`` the
     index of a*x; both are the lattice engine's tables, built row by row on
-    first read.  Row w of ``add_rows`` reads, per coordinate, the ring's
+    first read, except on A, where :func:`free_module` sets them to the
+    ring's tables.  Row w of ``add_rows`` reads, per coordinate, the ring's
     addition row of w's entry at the representatives' entries, and sums
     them into the base-|A| code of each x + w; one lookup in ``_code_of``
     (code to coset index, built with the first row) gives the coset.  No
@@ -151,7 +154,8 @@ def _is_submodule_of_free(ring: FiniteRing, rank: int, carrier: frozenset) -> bo
 
 
 def free_module(ring: FiniteRing, rank: int) -> FiniteModule:
-    """The free module A^rank; cached per ring."""
+    """The free module A^rank; cached per ring.  The coset of (x,) in A has
+    index x, so A's addition and orbit rows are the ring's tables."""
     key = ("free_module", rank)
     if key not in ring._cache:
         if ring.size**rank > FREE_CARRIER_CAP:
@@ -162,10 +166,13 @@ def free_module(ring: FiniteRing, rank: int) -> FiniteModule:
         for _ in range(rank):
             vectors = [v + (x,) for v in vectors for x in range(ring.size)]
         label = ring.label if rank == 1 else f"{ring.label}^{rank}"
-        ring._cache[key] = FiniteModule(
+        module = FiniteModule(
             ring, rank, frozenset(vectors), frozenset({(ring.zero,) * rank}),
             label, _checked=True,
         )
+        if rank == 1:
+            module.add_rows, module.orbit_rows = ring._add, ring._mul
+        ring._cache[key] = module
     return ring._cache[key]
 
 

@@ -34,7 +34,11 @@ depend on the filter: the colons grouped by value along each colon-matrix
 row, the certificate candidates (H, (H : N)) of each N, ranked once by
 the canonical order, the image colons of each certificate pair under
 every quotient map, the quotient-transfer verdict of each T, and the
-element-level re-verification of each certificate.
+element-level re-verification of each certificate.  That re-verification
+tests N*h <= H on whole rows of ring arithmetic: on A, on the ring's
+multiplication rows, through verify_certificate; on A^2, on the span of
+H's generators, built once per H, and the rows g*x of each generator g
+of h, built once per g with ``module.scalar``.
 ``_LatticeTables`` holds these for one lattice, each entry built on its
 first read, and the filter-dependent part of every check is a membership
 test against them.  Suite and public predicates alike get them from
@@ -68,7 +72,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from itertools import product, starmap
 from math import prod
 from operator import add, and_, or_
 from typing import Sequence
@@ -146,6 +149,13 @@ class _LatticeTables:
         # verified[(H, h, S)]: the re-verification of the certificate (H, h)
         # of N_S, for an h in the filter
         self.verified: dict[tuple[int, int, int], tuple[bool, str | None]] = {}
+        # spans[H] and scalar_rows[g], read by the re-verification on a
+        # lattice of a module other than A: the span of H's generators by
+        # modules.span, and g*x for every element x by module.scalar
+        self.spans = _Rows(lambda h_idx: span(lat.module, lat.min_gens(h_idx)))
+        self.scalar_rows = _Rows(
+            lambda g: list(map(partial(lat.module.scalar, g), lat.module.all_indices()))
+        )
 
     def _candidates(self, n_idx: int) -> list[tuple[int, int]]:
         """The pairs (H, (H : N)) for H <= N = N_n, sorted by fewest
@@ -408,10 +418,11 @@ def verify_certificate(
     h_span = span(module, cert.subobject_generators)
     if not h_span <= sub:
         return False, "H not contained in N"
-    for n in sub:
-        for a in cert.filter_ideal.elements:
-            if module.scalar(a, n) not in h_span:
-                return False, "N*h not contained in H"
+    # row n of the orbit rows holds a*n for every a; on A it is the ring's
+    # multiplication row of n
+    orbit, h_elems = module.orbit_rows, cert.filter_ideal.elements
+    if not all(h_span.issuperset(map(orbit[n].__getitem__, h_elems)) for n in sub):
+        return False, "N*h not contained in H"
     return True, None
 
 
@@ -610,22 +621,26 @@ _THEOREM_ORDER = (
 
 
 def _reverify(
-    module: FiniteModule, lat, sigma: GabrielFilter, key: tuple[int, int, int]
+    module: FiniteModule, tables: _LatticeTables, sigma: GabrielFilter, key: tuple[int, int, int]
 ) -> tuple[bool, str | None]:
     """(ok, reason) for the certificate (H, h) of N_S, key = (H, h, S),
-    rechecked on elements: by verify_certificate on A, by generators on A^2."""
+    rechecked on elements: by verify_certificate on A; on A^2 by generators,
+    on the span of H and the rows g*x of each generator g of h, each built
+    once per set of tables."""
+    lat = tables.lat
     h_idx, colon_idx, s_idx = key
     sub = lat.submodules[s_idx]
-    cert = Certificate("totally_fg", lat.min_gens(h_idx), lat.ring_lattice.ideals[colon_idx])
+    h_ideal = lat.ring_lattice.ideals[colon_idx]
     if module.rank == 1:
-        return verify_certificate(module, sub, sigma, cert)
+        return verify_certificate(module, sub, sigma, Certificate(
+            "totally_fg", lat.min_gens(h_idx), h_ideal))
     # generator-level containment; exact since H is a submodule
-    h_span = span(module, cert.subobject_generators)
-    h_gens = minimal_generators(cert.filter_ideal)
+    h_span = tables.spans[h_idx]
+    rows = map(tables.scalar_rows.__getitem__, minimal_generators(h_ideal))
     ok = (
-        cert.filter_ideal in sigma.members
+        colon_idx in sigma.member_indices()
         and h_span <= sub
-        and h_span.issuperset(starmap(module.scalar, product(h_gens, sub)))
+        and all(h_span.issuperset(map(row.__getitem__, sub)) for row in rows)
     )
     return ok, None if ok else "generator containment failed"
 
@@ -665,7 +680,7 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
             for s_idx, cert in enumerate(certificates):
                 key = cert and (*cert, s_idx)
                 if key and key not in tables.verified:
-                    tables.verified[key] = _reverify(module, lat, sigma, key)
+                    tables.verified[key] = _reverify(module, tables, sigma, key)
                 ok, reason = tables.verified[key] if key else (False, "no certificate")
                 t.check(ok, "{}: S={}: {}", where, s_idx, reason)
 

@@ -19,8 +19,8 @@ from it.  It reads two tables of the carrier, addition rows and orbit
 rows, and never calls element arithmetic.  Each sub-object also gets an
 int mask over the carrier, bit x set iff x is in it, so meets and the
 up-sets are mask operations, and a colon (N_i : x) is looked up by N_i & Ax
-in a memo per element x that every colon row shares.  Its own results are
-tables too: the index of each cyclic Ax, from which principal and
+in a memo per cyclic sub-object Ax that every colon row shares.  Its own
+results are tables too: the index of each cyclic Ax, from which principal and
 generated ideals are read; the colon matrix, whose row i and column j hold
 (N_i : N_j); and the up-sets as int bitmasks, from which sums, products
 and greedy generators are read.  :class:`IdealLattice` runs it on the
@@ -661,7 +661,7 @@ class SubobjectLattice:
         self.zero = 0  # {0} is the one sub-object of size 1
         self.top = self.n - 1
         self._colon_rows = _Rows(self._colon_row)
-        self._preimages: list[dict[int, int]] = [{} for _ in range(size)]
+        self._preimages: list[dict[int, int]] = [{} for _ in range(self.n)]  # by cyclic[x]
         self._colon_matrix = _Rows(self._colon_matrix_row)
         self._sum_matrix = _Rows(self._sum_matrix_row)
         self._min_gens = _Rows(self._greedy_gens)
@@ -869,17 +869,23 @@ class SubobjectLattice:
     def colon_row(self, i: int) -> tuple[int, ...]:
         """For each carrier element x, the ring-lattice index of (N_i : x).
 
-        (N_i : x) is the preimage of N_i & Ax under a -> a*x, so a memo per x,
-        shared by every row, looks it up by that mask."""
+        (N_i : x) is the preimage of N_i & Ax under a -> a*x, so a memo per
+        cyclic sub-object Ax, shared by every row, looks it up by that mask.
+        It depends on x only through Ax: if Ax = Ay, then y = bx and x = cy,
+        so a*x is in N exactly when a*y is."""
         return self._colon_rows[i]
 
     def _colon_row(self, i: int) -> tuple[int, ...]:
         keys = list(map(self.masks[i].__and__, self.cyclic_masks))
-        row = list(map(dict.get, self._preimages, keys))
+        memos = list(map(self._preimages.__getitem__, self.cyclic))
+        row = list(map(dict.get, memos, keys))
         in_sub, ring_elems = self.sets[i].__contains__, range(self.ring.size)
         for x in [x for x, c in enumerate(row) if c is None]:
-            preimage = frozenset(compress(ring_elems, map(in_sub, self._orbit[x])))
-            row[x] = self._preimages[x][keys[x]] = self.ring_lattice.index[preimage]
+            memo, key = memos[x], keys[x]
+            if key not in memo:  # an earlier x of this row may share Ax
+                preimage = frozenset(compress(ring_elems, map(in_sub, self._orbit[x])))
+                memo[key] = self.ring_lattice.index[preimage]
+            row[x] = memo[key]
         return tuple(row)
 
     def colon_matrix(self) -> dict[int, tuple[int, ...]]:

@@ -303,6 +303,33 @@ def canonical_certificates_by_scan(
     return out
 
 
+def certificate_check_by_scan(
+    module, sub: frozenset, member_sets, gens: tuple, h: frozenset
+) -> tuple[bool, str | None]:
+    """(ok, reason) for the certificate (H, h) of N, H spanned by gens, as
+    verify_certificate words the first condition that fails: h is a filter
+    member, given as a set of member element sets; H <= N; N*h <= H, by
+    module.scalar on every pair (a, n).  H is grown from 0 by adding the
+    multiples a*g of the generators, on tables of module.add_elem and
+    module.scalar."""
+    if h not in member_sets:
+        return False, "h not in filter"
+    add, scal = addition_table(module), scalar_table(module)
+    multiples = {row[g] for row in scal for g in gens}
+    h_span, work = {module.zero}, [module.zero]
+    while work:
+        row = add[work.pop()]
+        for m in multiples:
+            if row[m] not in h_span:
+                h_span.add(row[m])
+                work.append(row[m])
+    if not h_span <= sub:
+        return False, "H not contained in N"
+    if any(scal[a][n] not in h_span for n in sub for a in h):
+        return False, "N*h not contained in H"
+    return True, None
+
+
 def certificate_by_index_scan(lat, n_idx: int, members) -> tuple[int, int] | None:
     """(H, (H : N)) for the canonical certificate of N_n, or None, by one
     scan of every H <= N_n under the filter given by its member indices:

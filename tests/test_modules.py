@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import signal
 
 import pytest
@@ -18,6 +19,7 @@ from torsionlab.modules import (
 )
 from torsionlab.noether import upper_closure
 from torsionlab.rings import (
+    SubobjectLattice,
     build_ring,
     enumerate_ideals,
     ideal_lattice,
@@ -29,6 +31,7 @@ from torsionlab.rings import (
 )
 
 from .helpers import (
+    addition_table,
     additive_closure_by_scan,
     closure_by_scan,
     generator_count_by_nakayama,
@@ -73,22 +76,26 @@ def test_span(z12):
 @pytest.mark.parametrize("x", [-1, 4])
 def test_element_arguments_are_range_checked(x):
     # a negative index must not wrap around to the last element, and a
-    # rejected one must leave no orbit row behind
-    m = free_module(zmod(4), 1)
-    with pytest.raises(InvalidArgument, match=rf"^{x} is not an element of Z/4$"):
+    # rejected one must leave no orbit row behind; A's orbit rows are the
+    # ring's multiplication table, so the module is A^2 over Z/2, of size 4,
+    # whose rows are built on first read
+    m = free_module(zmod(2), 2)
+    with pytest.raises(InvalidArgument, match=rf"^{x} is not an element of {re.escape(m.label)}$"):
         span(m, [x])
-    assert x not in m.orbit_rows
+    assert not m.orbit_rows
 
 
 def test_lattice_rank_one_matches_ideals():
     # The rank-1 coset index is the element index, so the ideal lattice (ring
-    # tables) and a submodule lattice of A built explicitly on coset rows
-    # must agree index for index on every operation of the shared engine.
+    # tables) and a lattice of A built explicitly on rows of element
+    # arithmetic (module.add_elem and module.scalar, one call per entry) must
+    # agree index for index on every operation of the shared engine.
     for term in ring_catalog(12):
         ring = build_ring(term)
         rl = ideal_lattice(ring)
-        lat = SubmoduleLattice(free_module(ring, 1))
-        assert lat.ring_lattice is rl
+        a = free_module(ring, 1)
+        orbit = [list(col) for col in zip(*scalar_table(a))]  # orbit[x][b] = b*x
+        lat = SubobjectLattice(ring, a.size, addition_table(a), orbit, rl, "a submodule of A")
         assert lat.submodules == rl.sets
         assert [i.elements for i in enumerate_ideals(ring)] == list(rl.sets)
         n = rl.n
@@ -321,6 +328,7 @@ def test_rows_match_element_arithmetic():
         rl = ideal_lattice(ring)
         assert rl._add is ring._add and rl._orbit is ring._mul
         a1, a2 = free_module(ring, 1), free_module(ring, 2)
+        assert a1.add_rows is ring._add and a1.orbit_rows is ring._mul
         lat = submodule_lattice(a2)
         assert lat._add is a2.add_rows and lat._orbit is a2.orbit_rows
         mid = lat.submodules[lat.n // 2]

@@ -52,6 +52,7 @@ from .helpers import (
     alarm,
     canonical_certificates_by_scan,
     certificate_by_index_scan,
+    certificate_check_by_scan,
     sigma_principal_by_scan,
 )
 
@@ -124,6 +125,67 @@ def test_every_certificate_verifies(z12):
         for sub in lat.submodules:
             cert = tfg_certificate(m, sub, sigma)
             assert verify_certificate(m, sub, sigma, cert) == (True, None)
+
+
+def _checked_certificate(module, tables, sigma, key) -> tuple:
+    """The pairwise oracle's (ok, reason) for the certificate (H, h) of N_S,
+    key = (H, h, S), once verify_certificate is asserted to give the same,
+    and _reverify too, which on A^2 words every failure one way."""
+    lat = tables.lat
+    h_idx, colon_idx, s_idx = key
+    sub, h = lat.sets[s_idx], lat.ring_lattice.ideals[colon_idx]
+    gens = lat.min_gens(h_idx)
+    member_sets = {a.elements for a in sigma.members}
+    expected = certificate_check_by_scan(module, sub, member_sets, gens, h.elements)
+    cert = Certificate("totally_fg", gens, h)
+    assert verify_certificate(module, sub, sigma, cert) == expected
+    worded = expected if module.rank == 1 or expected[0] else (False, "generator containment failed")
+    assert noether._reverify(module, tables, sigma, key) == worded
+    return expected
+
+
+def test_certificate_checks_match_the_pairwise_oracle():
+    # verify_certificate reads N*h <= H off whole orbit rows (the ring's
+    # multiplication rows on A), and _reverify on A^2 off spans and scalar
+    # rows kept in the lattice's tables; both must give the verdict of the
+    # element-level oracle on every canonical certificate of A and A^2 under
+    # every filter of the catalog rings up to size 10
+    for term in ring_catalog(10):
+        ring = build_ring(term)
+        filters = enumerate_gabriel_filters(ring)
+        for rank in (1, 2):
+            module = free_module(ring, rank)
+            tables = noether._lattice_tables(submodule_lattice(module))
+            for sigma in filters:
+                members = sigma.member_indices()
+                for s_idx in range(tables.lat.n):
+                    key = (*noether._tfg_certificate(tables, s_idx, members), s_idx)
+                    assert _checked_certificate(module, tables, sigma, key) == (True, None)
+
+
+def test_planted_certificates_fail_as_the_pairwise_oracle_says():
+    # each canonical certificate (H, h) of N, with h replaced by every ideal
+    # (outside the filter, or too large for N*h <= H) and with H replaced by
+    # every sub-object (not inside N), on A and A^2 of the catalog rings up
+    # to size 6 under every filter: verify_certificate and _reverify agree
+    # with the oracle, and every failure reason occurs
+    reasons = set()
+    for term in ring_catalog(6):
+        ring = build_ring(term)
+        for rank in (1, 2):
+            module = free_module(ring, rank)
+            tables = noether._lattice_tables(submodule_lattice(module))
+            lat = tables.lat
+            for sigma in enumerate_gabriel_filters(ring):
+                members = sigma.member_indices()
+                for s_idx in range(lat.n):
+                    h_idx, colon_idx = noether._tfg_certificate(tables, s_idx, members)
+                    keys = [(h_idx, c, s_idx) for c in range(lat.ring_lattice.n)]
+                    keys += [(h, colon_idx, s_idx) for h in range(lat.n)]
+                    for key in keys:
+                        reasons.add(_checked_certificate(module, tables, sigma, key)[1])
+    assert reasons == {
+        None, "h not in filter", "H not contained in N", "N*h not contained in H"}
 
 
 # -- closure-colon witness ------------------------------------------------------
