@@ -52,7 +52,7 @@ from .filters import (
     spec_partition,
     trivial_filter,
 )
-from .modules import free_module
+from .modules import FREE_CARRIER_CAP, free_module
 from .monomial import (
     DecisionBudget,
     Monomial,
@@ -714,6 +714,16 @@ def non_negative_int(text: str) -> int:
     return int(text)
 
 
+def size_cap(text: str) -> int:
+    """A carrier size cap from 1 to ``FREE_CARRIER_CAP``.  The cap is
+    checked before a modulus is tested for primality, so an unbounded cap
+    would let a huge prime modulus through to trial division."""
+    cap = int(text)
+    if not 1 <= cap <= FREE_CARRIER_CAP:
+        raise argparse.ArgumentTypeError(f"must be from 1 to {FREE_CARRIER_CAP}, got {text}")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torsionlab",
@@ -725,8 +735,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=f"run the {TASK_BY_COMMAND[command]} task")
         p.add_argument("--spec", required=True, help="path to the spec JSON file")
         p.add_argument("--format", choices=["text", "json"], default=None)
-        p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP,
-                       help="carrier size cap (default %(default)s)")
+        p.add_argument("--cap", type=size_cap, default=DEFAULT_SIZE_CAP,
+                       help=f"carrier size cap, 1 to {FREE_CARRIER_CAP} (default %(default)s)")
         p.add_argument("--budget", type=non_negative_int, default=8,
                        help="max certified power for monomial decisions")
         p.add_argument("--expect-pass", action="store_true",

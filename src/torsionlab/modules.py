@@ -48,7 +48,9 @@ class FiniteModule:
     addition row of w's entry at the representatives' entries, and sums
     them into the base-|A| code of each x + w; one lookup in ``_code_of``
     (code to coset index, built with the first row) gives the coset.  No
-    vector is built or hashed.
+    vector is built or hashed.  With relations {0}, as for every free
+    module, each vector is its own coset, and the cosets are read off the
+    sorted carrier with no vector added.
     """
 
     def __init__(
@@ -71,20 +73,25 @@ class FiniteModule:
             for name, carrier in (("carrier", carrier_u), ("relations", carrier_v)):
                 if not _is_submodule_of_free(ring, rank, carrier):
                     raise NotASubmodule(f"{name} is not a submodule of A^{rank}")
-        cosets: list[frozenset] = []
-        coset_of: dict[Vector, int] = {}
-        for vec in sorted(carrier_u):
-            if vec in coset_of:
-                continue
-            coset = frozenset(_vec_add(ring, vec, w) for w in carrier_v)
-            idx = len(cosets)
-            cosets.append(coset)
-            for member in coset:
-                coset_of[member] = idx
-        self.elements = tuple(cosets)
-        self.reps = reps = tuple(min(c) for c in cosets)
-        self._coset_of = coset_of
-        self.size = len(cosets)
+        if len(carrier_v) == 1:  # relations {0}: each vector is its own coset
+            self.reps = reps = tuple(sorted(carrier_u))
+            self.elements = tuple(frozenset((vec,)) for vec in reps)
+            coset_of = dict(zip(reps, range(len(reps))))
+        else:
+            cosets: list[frozenset] = []
+            coset_of = {}
+            for vec in sorted(carrier_u):
+                if vec in coset_of:
+                    continue
+                coset = frozenset(_vec_add(ring, vec, w) for w in carrier_v)
+                idx = len(cosets)
+                cosets.append(coset)
+                for member in coset:
+                    coset_of[member] = idx
+            self.elements = tuple(cosets)
+            self.reps = reps = tuple(min(c) for c in cosets)
+        self._coset_of: dict[Vector, int] = coset_of
+        self.size = len(reps)
         self.zero = 0
         self._cache: dict = {}
         ring_add, ring_mul = ring._add, ring._mul
@@ -190,12 +197,14 @@ def is_submodule(module: FiniteModule, indices: frozenset) -> bool:
 
 
 def span(module: FiniteModule, gens: Iterable[int]) -> frozenset:
-    """Submodule generated by the given element indices."""
+    """Submodule generated by the given element indices: the sum of their
+    cyclic submodules.  A cyclic one already inside the running sum, and
+    the first one, which starts from (0), are absorbed by the sum itself
+    with no addition row read."""
     out = frozenset({module.zero})
     for g in gens:
         cyc = frozenset(module.orbit_rows[_check_element(module, g)])
-        if not cyc <= out:
-            out = _subgroup_sum(module.add_rows, out, cyc)
+        out = _subgroup_sum(module.add_rows, out, cyc)
     return out
 
 

@@ -380,8 +380,14 @@ def _subgroup_sum(add, u: frozenset, c: frozenset) -> frozenset:
     """Sum of two additive subgroups, built as a union of u-cosets.
 
     ``add[w][x]`` is x + w; only the rows of the coset representatives
-    drawn from c are read.
+    drawn from c are read.  When one operand holds the other, that one is
+    the sum and is returned itself, with no row read: on a lazily built
+    table such as a module's addition rows, no row is built for it.
     """
+    if u <= c:
+        return c
+    if c <= u:
+        return u
     res = set(u)
     for w in sorted(c):
         if w not in res:
@@ -697,9 +703,11 @@ class SubobjectLattice:
         """Every sub-object generated inside scope: all joins of its cyclic ones.
 
         Each sub-object U found is summed with every cyclic C it does not
-        contain, unless a sum V already formed from U contains C and has
-        |V|·|U ∩ C| = |U|·|C|: U + C lies in V, and for subgroups
-        |U + C| = |U|·|C| / |U ∩ C|, so U + C is V and is not formed again.
+        contain.  If U lies in C, the sum is C itself, recorded with no
+        intersection or row read.  Otherwise the sum is skipped when a sum
+        V already formed from U contains C and has |V|·|U ∩ C| = |U|·|C|:
+        U + C lies in V, and for subgroups |U + C| = |U|·|C| / |U ∩ C|, so
+        U + C is V and is not formed again.
         """
         cyclics = list(dict.fromkeys(frozenset(self._orbit[x]) for x in sorted(scope)))
         zero = frozenset({0})
@@ -711,15 +719,21 @@ class SubobjectLattice:
             for c in cyclics:
                 if c <= u:
                     continue
-                for v in sums:
-                    if c <= v and len(v) * len(u & c) == len(u) * len(c):
-                        break  # U + C is V
+                if u <= c:
+                    v = c  # U + C is C
                 else:
+                    for v in sums:
+                        if c <= v and len(v) * len(u & c) == len(u) * len(c):
+                            break  # U + C is V, recorded already
+                    else:
+                        v = None
+                    if v is not None:
+                        continue
                     v = _subgroup_sum(self._add, u, c)
-                    sums.append(v)
-                    if v not in found:
-                        found.add(v)
-                        work.append(v)
+                sums.append(v)
+                if v not in found:
+                    found.add(v)
+                    work.append(v)
         return found
 
     # -- order ---------------------------------------------------------------

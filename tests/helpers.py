@@ -206,6 +206,17 @@ def subquotient(free, u, v, label: str):
     return FiniteModule(free.ring, free.rank, carrier_u, carrier_v, label)
 
 
+def cosets_by_scan(ring: FiniteRing, carrier_u, carrier_v) -> tuple:
+    """(reps, coset_of, elements) of U/V: every coset v + V, added entry by
+    entry with ring.add, in the order of its least vector."""
+    cosets = {
+        frozenset(tuple(map(ring.add, vec, w)) for w in carrier_v) for vec in carrier_u
+    }
+    elements = tuple(sorted(cosets, key=min))
+    coset_of = {vec: i for i, coset in enumerate(elements) for vec in coset}
+    return tuple(map(min, elements)), coset_of, elements
+
+
 @lru_cache(maxsize=4)
 def addition_table(module) -> list[list[int]]:
     """add[x][y] = module.add_elem(x, y), one call per entry."""

@@ -27,7 +27,7 @@ from torsionlab.errors import (
     WorkbenchError,
 )
 from torsionlab.filters import closure, enumerate_gabriel_filters, is_closed, is_dense
-from torsionlab.modules import free_module
+from torsionlab.modules import FREE_CARRIER_CAP, free_module
 from torsionlab.rings import (
     build_ring,
     ideal_from_generators,
@@ -343,6 +343,31 @@ def test_large_prime_modulus_exits_2_at_the_cap(tmp_path, capsys, term):
         assert main(["census", "--spec", spec]) == 2
     err = capsys.readouterr().err
     assert "exceeding cap 256" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cap", ["3000000000000000000", "4097", "0", "-1", "16x"])
+def test_cap_out_of_range_is_a_usage_error(tmp_path, capsys, cap):
+    # a cap past the largest carrier would let a modulus of 2^61 - 1
+    # through to trial division; argparse rejects it before any ring is built
+    spec = write_spec(tmp_path, {"ring": {"polyquot": {"p": 2**61 - 1, "f": [0, 1]}}})
+    with alarm(5, f"a census under --cap {cap}"), pytest.raises(SystemExit) as info:
+        main(["census", "--spec", spec, f"--cap={cap}"])
+    assert info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "argument --cap: " in errors[0]
+    if cap.lstrip("-").isdigit():
+        assert errors[0].endswith(f"must be from 1 to {FREE_CARRIER_CAP}, got {cap}")
+
+
+@pytest.mark.parametrize("cap", [1, 256, 4096])
+def test_cap_in_range_reaches_the_ring_builder(tmp_path, capsys, cap):
+    # the documented range is 1 to FREE_CARRIER_CAP, the largest free carrier
+    assert FREE_CARRIER_CAP == 4096
+    spec = write_spec(tmp_path, {"ring": {"polyquot": {"p": 2**61 - 1, "f": [0, 1]}}})
+    with alarm(5, f"a census under --cap {cap}"):
+        assert main(["census", "--spec", spec, "--cap", str(cap)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"exceeding cap {cap}\n") and err.count("\n") == 1
 
 
 def _decide_doc(s_var, gen_var: int | str = 1, start: int = 2) -> dict:

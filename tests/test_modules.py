@@ -20,6 +20,7 @@ from torsionlab.modules import (
 from torsionlab.noether import upper_closure
 from torsionlab.rings import (
     SubobjectLattice,
+    _subgroup_sum,
     build_ring,
     enumerate_ideals,
     ideal_lattice,
@@ -34,6 +35,7 @@ from .helpers import (
     addition_table,
     additive_closure_by_scan,
     closure_by_scan,
+    cosets_by_scan,
     generator_count_by_nakayama,
     greedy_generators_by_scan,
     maximal_by_scan,
@@ -169,6 +171,78 @@ def test_reports_build_one_coset_lattice_per_ring(monkeypatch):
         "params": {"ideal_gens": [4]},
     })
     assert code == 0 and built == []
+
+
+def test_sweep_builds_no_rows_for_nested_sums(monkeypatch):
+    # of the 3,280 sums the size <= 10 sweep forms, 1,427 have one operand
+    # inside the other, and such a sum is that operand, returned with no
+    # row read; reading a row per coset representative for them built 784
+    # of the A^2 lattices' addition rows, 1,234 in all
+    from torsionlab import cli
+
+    built = [0]
+    init = FiniteModule.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.rank == 2:
+            build = self.add_rows._build
+
+            def counted_build(w):
+                built[0] += 1
+                return build(w)
+
+            self.add_rows._build = counted_build
+
+    monkeypatch.setattr(FiniteModule, "__init__", counted_init)
+    report, code = cli.execute({"task": "suite", "params": {"sweep_max_size": 10}})
+    assert code == 0 and built[0] == 450
+
+
+def test_subgroup_sum_matches_scan():
+    # every pair of submodules of A and A^2, nested or not
+    for term in ring_catalog(6):
+        ring = build_ring(term)
+        for rank in (1, 2):
+            module = free_module(ring, rank)
+            subs = submodule_lattice(module).sets
+            for s in subs:
+                for t in subs:
+                    assert _subgroup_sum(module.add_rows, s, t) == module_sum_by_scan(module, s, t)
+
+
+def test_nested_subgroup_sum_is_the_larger_operand():
+    # U <= C makes U + C = C, and C itself comes back with no row read: the
+    # empty table raises KeyError on any read
+    for term in ring_catalog(8):
+        ring = build_ring(term)
+        for rank in (1, 2):
+            lat = submodule_lattice(free_module(ring, rank))
+            for i, j in lat.inclusion_pairs():
+                u, c = lat.sets[i], lat.sets[j]
+                assert _subgroup_sum({}, u, c) is c and _subgroup_sum({}, c, u) is c
+    # a span's first cyclic submodule is summed onto (0), so it reads no row
+    module = free_module(zmod(6), 2)
+    assert span(module, [5]) == frozenset(module.orbit_rows[5])
+    assert not module.add_rows
+
+
+def test_free_module_cosets_match_scan():
+    # relations {0} make each vector its own coset, so a free module skips
+    # the coset scan; a quotient by a nonzero submodule still runs it
+    for term in ring_catalog(10):
+        ring = build_ring(term)
+        for rank in (1, 2):
+            m = free_module(ring, rank)
+            expected = cosets_by_scan(ring, m.carrier_u, m.carrier_v)
+            assert (m.reps, m._coset_of, m.elements) == expected, (m.label, rank)
+    ring = zmod(8)
+    a2 = free_module(ring, 2)
+    quo = subquotient(a2, range(a2.size), {0, a2.scalar(4, 1)}, "A^2/4e")
+    assert quo.size == 32
+    assert (quo.reps, quo._coset_of, quo.elements) == cosets_by_scan(
+        ring, quo.carrier_u, quo.carrier_v
+    )
 
 
 def test_direct_construction_checks_its_carriers():
