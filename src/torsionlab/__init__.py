@@ -82,7 +82,6 @@ from .monomial import (
     almost_jansian_principal,
     classify_prime,
     cohen_scan,
-    contains,
     in_filter,
     member,
     monomial_ideal,

@@ -78,8 +78,8 @@ from .rings import (
     ring_catalog,
 )
 
-# the largest variable index a spec may name: tail families are peeled up to
-# the largest variable mentioned, in time and memory linear in it
+# the largest variable index a spec may name: saturate and cohen peel tail
+# families up to the largest variable named, in time and memory linear in it
 VARIABLE_CAP = 2**15
 
 TASK_BY_COMMAND = {

@@ -3,12 +3,12 @@
 Ideals are finite generator lists plus "tail families": a base monomial
 times x_v^e for v running over an arithmetic progression of fresh
 variables.  The fresh-tail discipline (family variables exceed every
-variable of the base and of the finite generators) keeps membership,
-containment and finiteness decisions exactly decidable: beyond a computed
-horizon a family instance b*x_v^e can only be divided by something that
-divides b, or by another family instance aligned at the same v, and both
-tests are finite.  Whatever moves a tail past a floor (scaling, saturation,
-variable primes, the containment horizon) uses one restart rule,
+variable of the base and of the finite generators) keeps membership and
+finiteness decisions exactly decidable: beyond a computed horizon a family
+instance b*x_v^e can only be divided by something that divides b, or by
+another family instance aligned at the same v, and both tests are finite.
+Whatever moves a tail past a floor (scaling, saturation, variable primes)
+uses one restart rule,
 :meth:`TailFamily.peel`: the instances up to the floor become finite
 generators and the family restarts at its first aligned variable past it.
 
@@ -21,7 +21,6 @@ decisions read which finite candidates divide base*s^n from :func:`_absorbers`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidArgument, TailDisciplineViolation, TheoremViolation
@@ -154,12 +153,6 @@ class MonomialIdeal:
                     f"base and of the finite generators"
                 )
 
-    def max_mentioned_var(self) -> int:
-        out = max((g.max_var() for g in self.gens), default=0)
-        for fam in self.families:
-            out = max(out, fam.base.max_var(), fam.start)
-        return out
-
     @property
     def label(self) -> str:
         parts = [g.label for g in self.gens] + [f.label for f in self.families]
@@ -243,43 +236,6 @@ def member(ideal: MonomialIdeal, m: Monomial) -> bool:
             if fam.aligned(v) and fam.instance(v).divides(m):
                 return True
     return False
-
-
-def contains(big: MonomialIdeal, small: MonomialIdeal) -> bool:
-    """Exact containment test; both ideals must satisfy the tail discipline.
-
-    Finite generators are checked by membership.  For each family of the
-    small ideal, instances up to a horizon are checked directly; beyond it,
-    absorption needs either the family base itself in the big ideal or
-    aligned families of the big ideal covering the progression, which is
-    periodic and checked over one full period.
-    """
-    big.validate()
-    small.validate()
-    if not all(member(big, g) for g in small.gens):
-        return False
-    for fam in small.families:
-        peeled, rest = fam.peel(max(big.max_mentioned_var(), fam.base.max_var(), fam.start))
-        if not all(member(big, g) for g in peeled):
-            return False
-        if member(big, fam.base):
-            continue
-        covering = [
-            other
-            for other in big.families
-            if other.base.divides(fam.base) and other.exponent <= fam.exponent
-        ]
-        if not covering:
-            return False
-        period = 1
-        for other in covering:
-            period = period * other.step // gcd(period, other.step)
-        window = period // gcd(period, fam.step)
-        for i in range(window):
-            candidate = rest.start + i * fam.step
-            if not any(other.aligned(candidate) for other in covering):
-                return False
-    return True
 
 
 def scale(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
@@ -397,7 +353,12 @@ def s_finite_decide(
     prefix = prefix_ideal.gens
     if not all(member(ideal, p) for p in prefix):
         raise TheoremViolation("certificate prefix escaped the ideal")
-    if not contains(prefix_ideal, scale(ideal, s.power(power))):
+    # s^power*ideal lies in the finite prefix iff every g*s^power and every
+    # base*s^power does: a prefix generator dividing base*s^power*x_v^e at an
+    # aligned v past all its variables cannot involve x_v
+    scaled = s.power(power)
+    heads = (*ideal.gens, *(fam.base for fam in ideal.families))
+    if not all(member(prefix_ideal, m.mul(scaled)) for m in heads):
         raise TheoremViolation("certificate prefix fails to absorb the scaled ideal")
     if power > budget.max_power or len(prefix) > budget.max_prefix:
         return Decision(verdict="exhausted", budget=budget)

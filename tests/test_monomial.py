@@ -1,4 +1,4 @@
-"""Monomial ideals: membership, containment, saturation, finiteness decisions."""
+"""Monomial ideals: membership, saturation, finiteness decisions."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torsionlab.cli import execute, render_json
-from torsionlab.errors import TailDisciplineViolation
+from torsionlab import monomial
+from torsionlab.cli import VARIABLE_CAP, execute, render_json
+from torsionlab.errors import TailDisciplineViolation, TheoremViolation
 from torsionlab.monomial import (
     DecisionBudget,
     Monomial,
@@ -21,7 +22,6 @@ from torsionlab.monomial import (
     almost_jansian_principal,
     classify_prime,
     cohen_scan,
-    contains,
     in_filter,
     member,
     monomial_ideal,
@@ -133,61 +133,11 @@ def test_member_merged_instance_exponent():
     assert not member(ideal, mono(x2=1, x5=1))
 
 
-# -- containment -------------------------------------------------------------------
-
-
-def test_contains_examples():
-    big = monomial_ideal([mono(x1=1)])
-    inside = MonomialIdeal(families=(TailFamily(mono(x1=1), 2, 1, 1),))
-    assert contains(big, inside)
-    outside = MonomialIdeal(families=(TailFamily(Monomial.one(), 2, 1, 1),))
-    assert not contains(big, outside)
-    assert contains(outside, outside)
-
-
-def test_contains_alignment():
-    evens = MonomialIdeal(families=(TailFamily(Monomial.one(), 2, 2, 1),))
-    all_tail = MonomialIdeal(families=(TailFamily(Monomial.one(), 2, 1, 1),))
-    assert contains(all_tail, evens)
-    assert not contains(evens, all_tail)  # odd variables escape
-    fours = MonomialIdeal(families=(TailFamily(Monomial.one(), 4, 4, 1),))
-    assert contains(evens, fours)
-    assert not contains(fours, evens)
-
-
-def test_contains_exponent_sensitivity():
-    squares = MonomialIdeal(families=(TailFamily(Monomial.one(), 2, 1, 2),))
-    linears = MonomialIdeal(families=(TailFamily(Monomial.one(), 2, 1, 1),))
-    assert contains(linears, squares)
-    assert not contains(squares, linears)
-
-
 def test_contains_discipline_enforced():
-    bad = MonomialIdeal(families=(TailFamily(mono(x3=1), 2, 1, 1),))
-    with pytest.raises(TailDisciplineViolation):
-        contains(bad, bad)
     with pytest.raises(TailDisciplineViolation):
         MonomialIdeal(
             gens=(mono(x5=1),), families=(TailFamily(Monomial.one(), 3, 1, 1),)
         ).validate()
-
-
-@settings(max_examples=60, deadline=None)
-@given(disciplined_ideals(), disciplined_ideals())
-def test_contains_agrees_with_truncated_oracle(big, small):
-    if contains(big, small):
-        for g in truncate(small, 20):
-            assert member_oracle(big, g)
-    else:
-        # some truncated generator is genuinely outside, or the escape
-        # happens beyond the oracle horizon (checked exactly by contains)
-        pass
-
-
-@settings(max_examples=60, deadline=None)
-@given(disciplined_ideals())
-def test_contains_reflexive(ideal):
-    assert contains(ideal, ideal)
 
 
 # -- scale -------------------------------------------------------------------------
@@ -307,7 +257,7 @@ def test_saturation_is_power_quotient(ideal, s, point):
     mult = PrincipalMultSet(s)
     sat = saturation(ideal, mult)
     # extensive and idempotent
-    assert contains(sat, ideal)
+    assert all(member(sat, g) for g in truncate(ideal))
     assert saturation(sat, mult) == sat
     # membership characterization against the oracle at low powers
     if point.max_var() <= MAX_ORACLE_VAR - 24 and s.max_var() <= 6:
@@ -353,6 +303,51 @@ def test_minimalization_counts_divisions_linearly(monkeypatch):
     assert (got.verdict, got.power) == ("certified", 1)
     assert got.prefix == (mono(x1=1), Monomial.variable(v))
     assert calls < 10 * v
+
+
+def test_decide_at_the_cap_peels_nothing(monkeypatch):
+    # the certificate is re-checked on the finite generators and family
+    # bases, so the variable index of s costs nothing
+    peels, divisions = 0, 0
+    peel, divides = TailFamily.peel, Monomial.divides
+
+    def counting_peel(self, floor):
+        nonlocal peels
+        peels += 1
+        return peel(self, floor)
+
+    def counting_divides(self, other):
+        nonlocal divisions
+        divisions += 1
+        return divides(self, other)
+
+    monkeypatch.setattr(TailFamily, "peel", counting_peel)
+    monkeypatch.setattr(Monomial, "divides", counting_divides)
+    ideal = monomial_ideal([mono(x1=1)], [TailFamily(Monomial.one(), 2)])
+    got = s_finite_decide(ideal, PrincipalMultSet(Monomial.variable(VARIABLE_CAP)))
+    assert (got.verdict, got.power) == ("certified", 1)
+    assert peels == 0
+    assert divisions < 50
+
+
+@pytest.mark.parametrize(
+    "ideal, s",
+    [
+        (monomial_ideal([mono(x1=1)], [TailFamily(Monomial.one(), 2)]), mono(x1=1)),
+        (monomial_ideal([mono(x1=1)], [TailFamily(Monomial.one(), 2)]),
+         Monomial.variable(VARIABLE_CAP)),
+        (monomial_ideal([mono(x1=3)], [TailFamily(mono(x2=1), 3, 2, 2)]), mono(x1=1)),
+    ],
+)
+def test_decide_self_check_catches_short_power(monkeypatch, ideal, s):
+    # planted: every absorber reports one power less than it needs
+    absorbers = monomial._absorbers
+    monkeypatch.setattr(
+        monomial, "_absorbers",
+        lambda ideal, base, s: [(n - 1, c) for n, c in absorbers(ideal, base, s)],
+    )
+    with pytest.raises(TheoremViolation, match="fails to absorb the scaled ideal"):
+        s_finite_decide(ideal, PrincipalMultSet(s))
 
 
 def test_decide_finitely_generated_is_trivial():
@@ -406,8 +401,10 @@ def test_certified_decisions_reverify(ideal, s):
     got = s_finite_decide(ideal, mult, DecisionBudget(max_power=20, max_prefix=128))
     if got.verdict == "certified":
         prefix_ideal = monomial_ideal(got.prefix)
-        assert contains(ideal, prefix_ideal)
-        assert contains(prefix_ideal, scale(ideal, s.power(got.power)))
+        assert all(member_oracle(ideal, p) for p in got.prefix)
+        # exact: the oracle horizon lies past every prefix variable
+        scaled = scale(ideal, s.power(got.power))
+        assert all(member_oracle(prefix_ideal, g) for g in truncate(scaled))
 
 
 # -- prime classification and the scan ------------------------------------------------------
