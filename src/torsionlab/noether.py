@@ -31,10 +31,13 @@ traceback; inside a carrier's checks it also skips the rest of them.
 
 The suite runs once per (ring, filter), but much of its work does not
 depend on the filter: the colons grouped by value along each colon-matrix
-row, the certificate candidates (H, (H : N)) of each N, ranked once by
-the canonical order, the image colons of each certificate pair under
-every quotient map, the quotient-transfer verdict of each T, and the
-element-level re-verification of each certificate.  That re-verification
+row, the sub-objects below each N (the transpose of the up-sets), the
+certificate candidates (H, (H : N)) of each N, read from those and ranked
+once by the canonical order, the maximal elements of each upper-closure
+mask, the image colons of each certificate pair under every quotient map,
+the pairs N <= M of each N grouped by their colon (N : M), the
+quotient-transfer verdict of each T, and the element-level
+re-verification of each certificate.  That re-verification
 tests N*h <= H on whole rows of ring arithmetic: on A, on the ring's
 multiplication rows, through verify_certificate; on A^2, on the span of
 H's generators, built once per H, and the rows g*x of each generator g
@@ -138,6 +141,9 @@ class _LatticeTables:
         # colon_groups[n]: (c, mask) for each colon c of colon-matrix row n,
         # the mask holding the columns H with (N_n : H) = c
         self.colon_groups = _Rows(self._colon_groups)
+        # maxima[fam]: the maximal elements of the family with bitmask fam,
+        # read by every filter for its upper closures
+        self.maxima = _Rows(lambda fam: lat.maximal(_bits(fam)))
         # quotient_images[(H, S)]: the colons ((H + N) : (S + N)) over every N
         self.quotient_images = _Rows(self._quotient_images)
         # passing[ann][h]: the h_bar with h <= h_bar and h_bar*ann <= h, as a mask
@@ -163,14 +169,12 @@ class _LatticeTables:
         and H; ring-lattice indices follow Ideal.sort_key, so equal-size
         colons compare as the ideals do."""
         lat = self.lat
-        cm, up, colons = lat.colon_matrix(), lat.up_masks(), lat.ring_lattice.sets
+        cm, colons = lat.colon_matrix(), lat.ring_lattice.sets
         keys = []
-        # a sub-object inside N_n has an index no larger than n
-        for h_idx in range(n_idx + 1):
-            if up[h_idx] >> n_idx & 1:
-                colon_idx = cm[h_idx][n_idx]
-                gens = lat.min_gens(h_idx)
-                keys.append((len(gens), -len(colons[colon_idx]), colon_idx, gens, h_idx))
+        for h_idx in self.below[n_idx]:
+            colon_idx = cm[h_idx][n_idx]
+            gens = lat.min_gens(h_idx)
+            keys.append((len(gens), -len(colons[colon_idx]), colon_idx, gens, h_idx))
         keys.sort()
         return [(key[-1], key[2]) for key in keys]
 
@@ -205,10 +209,28 @@ class _LatticeTables:
         return view if view is not None and view.holds else None
 
     @cached_property
-    def pair_colons(self) -> list[tuple[tuple[int, ...], list[int]]]:
-        """For each N: the M >= N and the colons (N : M), in the same order."""
+    def below(self) -> list[list[int]]:
+        """For each N: the indices of the sub-objects inside it, ascending;
+        the transpose of the up-sets."""
+        lat = self.lat
+        below: list[list[int]] = [[] for _ in range(lat.n)]
+        for h_idx in range(lat.n):
+            for m_idx in lat.upset(h_idx):
+                below[m_idx].append(h_idx)
+        return below
+
+    @cached_property
+    def pair_groups(self) -> list[tuple[tuple[int, list[int]], ...]]:
+        """For each N: (h, ms) for each colon h = (N : M) over the M >= N,
+        ms holding those M, ascending."""
         lat, cm = self.lat, self.lat.colon_matrix()
-        return [(lat.upset(n), [cm[n][m] for m in lat.upset(n)]) for n in range(lat.n)]
+        out = []
+        for n_idx in range(lat.n):
+            row, groups = cm[n_idx], {}
+            for m_idx in lat.upset(n_idx):
+                groups.setdefault(row[m_idx], []).append(m_idx)
+            out.append(tuple(groups.items()))
+        return out
 
     def _passing(self, ann: int) -> list[int]:
         rl = self.lat.ring_lattice
@@ -231,10 +253,13 @@ class _LatticeTables:
             return view.transfers(t_idx)
         plus_t = self.lat.sum_matrix()[t_idx]
         images = [0] * self.lat.ring_lattice.n
-        for n_idx, (ups, colons) in enumerate(self.pair_colons):
+        for n_idx, groups in enumerate(self.pair_groups):
             row_bar = cm[plus_t[n_idx]]
-            for m_idx, h in zip(ups, colons):
-                images[h] |= 1 << row_bar[plus_t[m_idx]]
+            for h, ms in groups:
+                bars = 0
+                for m_idx in ms:
+                    bars |= 1 << row_bar[plus_t[m_idx]]
+                images[h] |= bars
         return not any(bars & ~ok for bars, ok in zip(images, self.passing[ann]))
 
 
@@ -595,6 +620,20 @@ class _Tally:
             self.passed = False
             self.counterexample = witness.format(*args)
 
+    def check_each(self, verdicts, witness: str) -> None:
+        """One check for a run of instances: verdicts yields (ok, args) for
+        each, in order, and the first failing one's counterexample is
+        ``witness.format(*args)``.  When computing a verdict raises, the
+        instances before it are counted first."""
+        done, first = 0, None
+        try:
+            for ok, args in verdicts:
+                done += 1
+                if not ok and first is None:
+                    first = args
+        finally:
+            self.check(first is None, witness, *(first or ()), instances=done)
+
     def run(self, check, *args):
         """check(*args), or None when it raises a TheoremViolation: the
         theorem has then failed with the violation as its counterexample,
@@ -670,19 +709,24 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
             cm = lat.colon_matrix()
             # upper[n]: the upper closure of {N_n} as a bitmask, i.e. every H
             # with (N_n : H) in the filter; the maximal elements of each
-            # distinct mask, decided once, serve two theorems below
+            # distinct mask, decided once per set of tables, serve two
+            # theorems below
             upper = [_upper_closure(tables, (n,), members) for n in range(lat.n)]
-            maxima = {fam: lat.maximal(_bits(fam)) for fam in set(upper)}
+            maxima = tables.maxima
 
             # certificates exist canonically and re-verify; a certificate's h is
             # a filter member, so its verdict is re-verified once per set of tables
             certificates = [_tfg_certificate(tables, s_idx, members) for s_idx in range(lat.n)]
-            for s_idx, cert in enumerate(certificates):
-                key = cert and (*cert, s_idx)
-                if key and key not in tables.verified:
-                    tables.verified[key] = _reverify(module, tables, sigma, key)
-                ok, reason = tables.verified[key] if key else (False, "no certificate")
-                t.check(ok, "{}: S={}: {}", where, s_idx, reason)
+
+            def reverified():
+                for s_idx, cert in enumerate(certificates):
+                    key = cert and (*cert, s_idx)
+                    if key and key not in tables.verified:
+                        tables.verified[key] = _reverify(module, tables, sigma, key)
+                    ok, reason = tables.verified[key] if key else (False, "no certificate")
+                    yield ok, (where, s_idx, reason)
+
+            t.check_each(reverified(), "{}: S={}: {}")
 
             # images of certified submodules under quotient maps stay certified:
             # ((H + N) : (S + N)) contains (H : S) for the certificate's H; over
@@ -709,24 +753,28 @@ def theorem_suite(ring: FiniteRing, sigma: GabrielFilter) -> SuiteReport:
             # upper closures of singletons are upper closed with maxima
             t = tallies["upper-closed-families-have-maximal"]
             verdicts: dict[int, bool] = {}  # by upper-closure mask
-            for n_idx, fam in enumerate(upper):
+            for fam in upper:
                 if fam not in verdicts:
                     # the upper closure of a family is the union of its members' ones
                     closed = not any(upper[h] & ~fam for h in _bits(fam))
                     verdicts[fam] = closed and bool(maxima[fam])
-                t.check(verdicts[fam], "{}: N={}", where, n_idx)
+            t.check_each(((verdicts[fam], (where, n_idx)) for n_idx, fam in enumerate(upper)),
+                         "{}: N={}")
 
             # unique maximal element iff the closure joins the upper closure
             t = tallies["unique-maximal"]
-            for n_idx, fam in enumerate(upper):
-                ok = (len(maxima[fam]) == 1) == bool(fam >> lat.closure(n_idx, members) & 1)
-                t.check(ok, "{}: N={}", where, n_idx)
+            t.check_each((
+                ((len(maxima[fam]) == 1) == bool(fam >> lat.closure(n_idx, members) & 1),
+                 (where, n_idx))
+                for n_idx, fam in enumerate(upper)
+            ), "{}: N={}")
 
             # quotients by totally torsion submodules preserve stability data
             t = tallies["totally-torsion-quotient-transfer"]
-            for t_idx in range(lat.n):
-                if cm[lat.zero][t_idx] in members:
-                    t.check(tables.transfers[t_idx], "{}: T={}", where, t_idx)
+            t.check_each((
+                (tables.transfers[t_idx], (where, t_idx))
+                for t_idx in range(lat.n) if cm[lat.zero][t_idx] in members
+            ), "{}: T={}")
         except TheoremViolation as exc:
             t.check(False, "{}", exc)
 

@@ -630,7 +630,10 @@ class SubobjectLattice:
     next greedy generator's span are sums.  Products, colon rows, greedy
     generators, up-sets and the colon and sum matrices are ``_Rows``
     tables, each entry built on its first read, and closures are read off
-    the colon rows.  Colons are ideals, indexed in ``ring_lattice``, the
+    the colon rows.  Two per-lattice lists are filled on the first row that
+    reads them: the preimage memos of each x's cyclic sub-object, read by
+    every colon row, and the generators of every sub-object, read by every
+    colon-matrix row.  Colons are ideals, indexed in ``ring_lattice``, the
     ideal lattice of the base ring.  Hot loops read the tables directly:
     ``colon_matrix()[i][j]`` is ``pair_colon(i, j)``, ``sum_matrix()[i][j]``
     is ``sum(i, j)``, and bit j of ``up_masks()[i]`` is ``leq(i, j)``.
@@ -668,6 +671,8 @@ class SubobjectLattice:
         self.top = self.n - 1
         self._colon_rows = _Rows(self._colon_row)
         self._preimages: list[dict[int, int]] = [{} for _ in range(self.n)]  # by cyclic[x]
+        self._memos: list[dict[int, int]] | None = None  # _preimages[cyclic[x]] by x
+        self._all_gens: list[tuple[int, ...]] | None = None  # min_gens(j) by j
         self._colon_matrix = _Rows(self._colon_matrix_row)
         self._sum_matrix = _Rows(self._sum_matrix_row)
         self._min_gens = _Rows(self._greedy_gens)
@@ -891,7 +896,9 @@ class SubobjectLattice:
 
     def _colon_row(self, i: int) -> tuple[int, ...]:
         keys = list(map(self.masks[i].__and__, self.cyclic_masks))
-        memos = list(map(self._preimages.__getitem__, self.cyclic))
+        if self._memos is None:
+            self._memos = list(map(self._preimages.__getitem__, self.cyclic))
+        memos = self._memos
         row = list(map(dict.get, memos, keys))
         in_sub, ring_elems = self.sets[i].__contains__, range(self.ring.size)
         for x in [x for x, c in enumerate(row) if c is None]:
@@ -912,13 +919,17 @@ class SubobjectLattice:
 
     def _colon_matrix_row(self, i: int) -> tuple[int, ...]:
         rl = self.ring_lattice
-        row = [rl.masks[c] for c in self.colon_row(i)]
+        masks, by_mask = rl.masks, rl.index_by_mask
+        top = masks[rl.top]
+        row = [masks[c] for c in self.colon_row(i)]
+        if self._all_gens is None:  # every row reads every sub-object's generators
+            self._all_gens = [self.min_gens(j) for j in range(self.n)]
         out = []
-        for gens in map(self._min_gens.__getitem__, range(self.n)):
-            acc = rl.masks[rl.top]
+        for gens in self._all_gens:
+            acc = top
             for g in gens:
                 acc &= row[g]
-            out.append(rl.index_by_mask[acc])
+            out.append(by_mask[acc])
         return tuple(out)
 
     def pair_colon(self, i: int, j: int) -> int:

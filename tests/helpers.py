@@ -362,6 +362,34 @@ def certificate_by_index_scan(lat, n_idx: int, members) -> tuple[int, int] | Non
     return None if best_key is None else (best_key[-1], best_key[2])
 
 
+def candidates_by_range_scan(lat, n_idx: int) -> list[tuple[int, int]]:
+    """Every (H, (H : N_n)) with H <= N_n, canonical first, by one up-mask
+    bit test for each index up to n: a sub-object inside N_n has an index
+    no larger than n."""
+    cm, up, colons = lat.colon_matrix(), lat.up_masks(), lat.ring_lattice.sets
+    keys = []
+    for h_idx in range(n_idx + 1):
+        if up[h_idx] >> n_idx & 1:
+            colon_idx = cm[h_idx][n_idx]
+            gens = lat.min_gens(h_idx)
+            keys.append((len(gens), -len(colons[colon_idx]), colon_idx, gens, h_idx))
+    keys.sort()
+    return [(key[-1], key[2]) for key in keys]
+
+
+def transfers_by_pair_scan(lat, passing: list[int], t_idx: int) -> bool:
+    """The quotient-transfer verdict of T = N_t, one inclusion pair N <= M
+    at a time: the image colon (N + T : M + T) of each pair must lie in
+    passing[h], h = (N : M), passing being the row of ann(T)."""
+    cm, plus_t = lat.colon_matrix(), lat.sum_matrix()[t_idx]
+    images = [0] * lat.ring_lattice.n
+    for n_idx in range(lat.n):
+        row_bar = cm[plus_t[n_idx]]
+        for m_idx in lat.upset(n_idx):
+            images[cm[n_idx][m_idx]] |= 1 << row_bar[plus_t[m_idx]]
+    return not any(bars & ~ok for bars, ok in zip(images, passing))
+
+
 def sigma_principal_by_scan(ring, ideal: frozenset, members: set) -> tuple:
     """(witness, certificate) as sigma_principal_status reports them, by scans.
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 import random
 import weakref
 from itertools import product
@@ -37,6 +39,7 @@ from torsionlab.noether import (
 from torsionlab.rings import (
     Ideal,
     RingMap,
+    _bits,
     build_ring,
     enumerate_ideals,
     ideal_from_generators,
@@ -50,10 +53,12 @@ from torsionlab.rings import (
 
 from .helpers import (
     alarm,
+    candidates_by_range_scan,
     canonical_certificates_by_scan,
     certificate_by_index_scan,
     certificate_check_by_scan,
     sigma_principal_by_scan,
+    transfers_by_pair_scan,
 )
 
 
@@ -408,8 +413,8 @@ def test_certificates_and_principal_status_match_scans():
                 assert status.sigma_principal == (status.witness is not None)
 
 
-def _planted_suite(monkeypatch, ring, sigma, lat) -> dict:
-    """theorem_suite's pass flags, with a private rank-1 lattice of the ring
+def _planted_suite_report(monkeypatch, ring, sigma, lat) -> noether.SuiteReport:
+    """theorem_suite's report, with a private rank-1 lattice of the ring
     handed to the suite through a monkeypatched ``submodule_lattice``."""
     real = noether.submodule_lattice
     monkeypatch.setattr(
@@ -417,7 +422,12 @@ def _planted_suite(monkeypatch, ring, sigma, lat) -> dict:
         lambda m: lat if m.ring is ring and m.rank == 1 else real(m),
     )
     ring._cache.pop("suite_tables", None)  # a baseline run's tables predate a plant
-    return {r.name: r.passed for r in theorem_suite(ring, sigma).results}
+    return theorem_suite(ring, sigma)
+
+
+def _planted_suite(monkeypatch, ring, sigma, lat) -> dict:
+    """The pass flags of _planted_suite_report."""
+    return {r.name: r.passed for r in _planted_suite_report(monkeypatch, ring, sigma, lat).results}
 
 
 def test_certificate_checks_catch_planted_colon(monkeypatch):
@@ -761,25 +771,21 @@ def _flip_up_mask_bit(lat, i: int, j: int) -> None:
     lat.up_masks()[i] ^= 1 << j
 
 
-def test_carrier_violations_fail_a_theorem(monkeypatch):
-    # every single up-mask bit flip on a private lattice of A = Z/6 or Z/4,
-    # under every filter: 82 runs; a TheoremViolation the flip raises in the
-    # carrier checks fails a theorem instead of leaving theorem_suite (62
-    # runs escaped before); the alarm turns a hang into a failure
-    failed = passed = 0
-    with alarm(30, "a planted suite"):
-        for n in (6, 4):
-            ring = zmod(n)
-            for sigma in enumerate_gabriel_filters(ring):
-                size = ideal_lattice(ring).n
-                for i in range(size):
-                    for j in range(size):
-                        lat = SubmoduleLattice(free_module(ring, 1))
-                        _flip_up_mask_bit(lat, i, j)
-                        flags = _planted_suite(monkeypatch, ring, sigma, lat)
-                        failed += not all(flags.values())
-                        passed += all(flags.values())
-    assert (failed, passed) == (80, 2)
+def _up_mask_flip_reports(monkeypatch) -> list[dict]:
+    """The reports of every single up-mask bit flip on a private lattice of
+    A = Z/6 or Z/4, under every filter: 82 runs."""
+    reports = []
+    for n in (6, 4):
+        ring = zmod(n)
+        for sigma in enumerate_gabriel_filters(ring):
+            size = ideal_lattice(ring).n
+            for i in range(size):
+                for j in range(size):
+                    lat = SubmoduleLattice(free_module(ring, 1))
+                    _flip_up_mask_bit(lat, i, j)
+                    report = _planted_suite_report(monkeypatch, ring, sigma, lat)
+                    reports.append(report.to_dict())
+    return reports
 
 
 def _plant_colon_row(rl, i: int, x: int, value: int) -> None:
@@ -788,28 +794,71 @@ def _plant_colon_row(rl, i: int, x: int, value: int) -> None:
     rl._colon_rows[i] = row[:x] + (value,) + row[x + 1:]
 
 
-def test_colon_row_plants_fail_a_theorem():
-    # every single colon-row entry (N_i : x) of the ideal lattice of a fresh
-    # Z/6 or Z/4, set to each other ideal index once the filter is built,
-    # under every filter: 336 runs; a violation the plant raises in the
-    # ring-level checks fails a theorem instead of leaving theorem_suite (159
-    # runs escaped before, 152 with TheoremViolation and 7 with ValueError);
-    # the alarm turns a hang into a failure
-    failed = passed = 0
-    with alarm(30, "a planted suite"):
-        for n in (6, 4):
-            probe = ideal_lattice(zmod(n))
-            for k in range(len(enumerate_gabriel_filters(probe.ring))):
-                for i, x, value in product(range(probe.n), range(n), range(probe.n)):
-                    if value == probe.colon_row(i)[x]:
-                        continue
-                    ring = zmod(n)
-                    sigma = enumerate_gabriel_filters(ring)[k]
-                    _plant_colon_row(ideal_lattice(ring), i, x, value)
-                    all_passed = theorem_suite(ring, sigma).all_passed
-                    failed += not all_passed
-                    passed += all_passed
-    assert (failed, passed) == (199, 137)
+def _colon_row_plant_reports() -> list[dict]:
+    """The reports of every single colon-row entry (N_i : x) of the ideal
+    lattice of a fresh Z/6 or Z/4, set to each other ideal index once the
+    filter is built, under every filter: 336 runs."""
+    reports = []
+    for n in (6, 4):
+        probe = ideal_lattice(zmod(n))
+        for k in range(len(enumerate_gabriel_filters(probe.ring))):
+            for i, x, value in product(range(probe.n), range(n), range(probe.n)):
+                if value == probe.colon_row(i)[x]:
+                    continue
+                ring = zmod(n)
+                sigma = enumerate_gabriel_filters(ring)[k]
+                _plant_colon_row(ideal_lattice(ring), i, x, value)
+                reports.append(theorem_suite(ring, sigma).to_dict())
+    return reports
+
+
+@pytest.fixture(scope="module")
+def plant_scans() -> dict[str, list[dict]]:
+    """Every report of three plant scans, run once for the tests that count
+    and pin them: the colon-row plants, the up-mask flips and the suites of
+    _PLANTS; the alarms turn a hang into a failure."""
+    scans = {}
+    with alarm(30, "the colon-row plants"):
+        scans["colon-row"] = _colon_row_plant_reports()
+    with pytest.MonkeyPatch.context() as mp, alarm(30, "the up-mask flips"):
+        scans["up-mask"] = _up_mask_flip_reports(mp)
+    scans["plants"] = []
+    for name in _PLANTS:
+        with pytest.MonkeyPatch.context() as mp:
+            scans["plants"].append(_planted_report(mp, name))
+    return scans
+
+
+def _failed_and_passed(reports: list[dict]) -> tuple[int, int]:
+    failed = sum(not report["all_passed"] for report in reports)
+    return failed, len(reports) - failed
+
+
+def test_carrier_violations_fail_a_theorem(plant_scans):
+    # every up-mask flip: a TheoremViolation the flip raises in the carrier
+    # checks fails a theorem instead of leaving theorem_suite (62 runs
+    # escaped before)
+    assert _failed_and_passed(plant_scans["up-mask"]) == (80, 2)
+
+
+def test_colon_row_plants_fail_a_theorem(plant_scans):
+    # every colon-row plant: a violation the plant raises in the ring-level
+    # checks fails a theorem instead of leaving theorem_suite (159 runs
+    # escaped before, 152 with TheoremViolation and 7 with ValueError)
+    assert _failed_and_passed(plant_scans["colon-row"]) == (199, 137)
+
+
+# taken before the suite's per-theorem tallies and per-lattice tables were regrouped
+PLANT_SCAN_SHA256 = "f477677976dbe424c1b7f0d7633ed1df6c84b3f395cda2898d6badbad63f3fce"
+
+
+def test_plant_scan_reports_are_pinned(plant_scans):
+    # the full report of every run of the three scans, instance counts and
+    # counterexamples included: a change that keeps every pass flag but
+    # drops the instances checked before a violation moves the digest
+    assert [len(reports) for reports in plant_scans.values()] == [336, 82, 10]
+    data = json.dumps(plant_scans).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == PLANT_SCAN_SHA256
 
 
 def _failed_results(ring, sigma) -> dict:
@@ -1087,3 +1136,69 @@ def test_a2_plants_give_one_report_with_and_without_factor_view(
             assert not taken and with_view == direct, (kind, row, col, value)
             failing += not with_view["all_passed"]
     assert failing == failing_expected
+
+
+# -- regrouped tables against the scans they replace ------------------------------------
+
+
+def _planted_a_lattices() -> list:
+    """Private lattices of A = Z/6, one per planted sum or colon entry of
+    the tests above."""
+    lattices = []
+    for plant in (
+        _plant_sum,
+        lambda lat: _plant(lat, lat.zero, lat.top, lat.ring_lattice.top),
+        lambda lat: _plant(lat, 0, 1, lat.ring_lattice.top),
+        lambda lat: _plant(lat, 1, 2, lat.ring_lattice.top),
+        lambda lat: _plant(lat, 1, 1, lat.ring_lattice.zero),  # (T : T) for T = (3)
+        lambda lat: _plant(lat, lat.zero, lat.zero, lat.ring_lattice.zero),
+    ):
+        lat = SubmoduleLattice(free_module(zmod(6), 1))
+        plant(lat)
+        lattices.append(lat)
+    return lattices
+
+
+def test_grouped_tables_match_pair_and_range_scans(monkeypatch):
+    # the transfer loop over colon groups and the candidates read from the
+    # below table give what one inclusion pair at a time and one up-mask test
+    # per index give: for every T and N of A and A^2 over the catalog rings
+    # up to size 10, with the factor view bypassed so that product rings run
+    # the direct loop too, and on the planted lattices, where some T fail
+    _no_factor_view(monkeypatch)
+    lattices = [
+        submodule_lattice(free_module(build_ring(term), rank))
+        for term in ring_catalog(10) for rank in (1, 2)
+    ]
+    planted = _planted_a_lattices()
+    verdicts = []
+    for lat in lattices + planted:
+        tables = noether._LatticeTables(lat)
+        cm = lat.colon_matrix()
+        for idx in range(lat.n):
+            passing = tables.passing[cm[lat.zero][idx]]
+            assert tables.transfers[idx] == transfers_by_pair_scan(lat, passing, idx), (lat.kind, idx)
+            assert tables.candidates[idx] == candidates_by_range_scan(lat, idx), (lat.kind, idx)
+            verdicts.append(tables.transfers[idx])
+    assert not all(verdicts[-sum(lat.n for lat in planted):])  # a planted T fails
+
+
+def test_shared_maxima_match_the_lattice_on_every_suite_mask():
+    # the maxima a ring's tables keep for all of its filters, one entry per
+    # upper-closure mask, are the lattice's maximal elements of that mask,
+    # after the suites of every filter of the catalog rings up to size 10
+    for term in ring_catalog(10):
+        ring = build_ring(term)
+        filters = enumerate_gabriel_filters(ring)
+        for sigma in filters:
+            assert theorem_suite(ring, sigma).all_passed
+        for rank in (1, 2):
+            lat = submodule_lattice(free_module(ring, rank))
+            tables = noether._lattice_tables(lat)
+            upper = {
+                noether._upper_closure(tables, (n,), sigma.member_indices())
+                for sigma in filters for n in range(lat.n)
+            }
+            assert tables.maxima.keys() == upper
+            for fam in upper:
+                assert tables.maxima[fam] == lat.maximal(_bits(fam))
